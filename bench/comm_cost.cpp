@@ -10,15 +10,17 @@
 // Two differential pins ride along (CI holds both at zero via bench_diff):
 //   - zero_weight_mismatches: the commcost policy with comm_weight = 0 must
 //     take byte-identical decisions to first fit (the zero-weight oracle);
-//   - index_sweep_mismatches: the free-space-index arm and the bitmap-sweep
-//     arm of the commcost policy must pick identical anchors (the pinned
-//     tie-breaking contract).
+//   - index_sweep_mismatches: the production placer (free-space index) and
+//     the reference bitmap-sweep placer of tests/reference must pick
+//     identical anchors under the commcost policy (the pinned tie-breaking
+//     contract).
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "reference/admission.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -63,7 +65,8 @@ rr::comm::NetList make_nets(const std::vector<rr::model::Module>& pool,
 /// Replay the churn trace derived from `seed` (identical across
 /// configurations); wirelength is sampled over the live set after every
 /// step.
-TraceResult replay_trace(rr::baseline::OnlinePlacer& placer,
+template <typename Placer>
+TraceResult replay_trace(Placer& placer,
                          const std::vector<rr::model::Module>& pool,
                          const rr::comm::NetList& nets, std::uint64_t seed,
                          int steps) {
@@ -146,7 +149,8 @@ int main() {
         make_nets(pool, region->height()));
 
     // Four configurations over the identical trace: area-only first fit,
-    // commcost on both admission arms, and commcost at weight zero.
+    // commcost on the production placer and on the reference sweep placer,
+    // and commcost at weight zero.
     TraceResult first_fit, comm_index, comm_sweep, zero_weight;
     for (const int variant : {0, 1, 2, 3}) {
       baseline::OnlineOptions options;
@@ -155,13 +159,16 @@ int main() {
         options.nets = nets;
         options.comm_weight = variant == 3 ? 0 : comm_weight;
       }
-      options.free_space_index = variant != 2;
+      if (variant == 2) {
+        reference::SweepPlacer placer(*region, options);
+        comm_sweep = replay_trace(placer, pool, *nets, seed, steps);
+        continue;
+      }
       baseline::OnlinePlacer placer(*region, options);
       TraceResult result = replay_trace(placer, pool, *nets, seed, steps);
       switch (variant) {
         case 0: first_fit = std::move(result); break;
         case 1: comm_index = std::move(result); break;
-        case 2: comm_sweep = std::move(result); break;
         case 3: zero_weight = std::move(result); break;
       }
     }

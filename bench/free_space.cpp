@@ -6,11 +6,12 @@
 // tables cached, the decision itself is what costs), fill to the target
 // occupancy with an identical first-fit prefix, then answer the same
 // randomized admission probes — place, and remove again on accept, so
-// occupancy stays at the level under test. The sweep arm scans the anchor
-// table against the occupancy bitmap per probe; the index arm answers from
-// the incrementally maintained MER set and pays occupy/release maintenance
-// on accepted probes. Grids include a 10x-scale fabric where the sweep's
-// per-probe anchor scan is at its worst.
+// occupancy stays at the level under test. The sweep arm is the reference
+// placer of tests/reference, which scans the anchor table against the
+// occupancy bitmap per probe; the index arm is the production OnlinePlacer,
+// which answers from the incrementally maintained MER set and pays
+// occupy/release maintenance on accepted probes. Grids include a 10x-scale
+// fabric where the sweep's per-probe anchor scan is at its worst.
 //
 // Expected shape: index_speedup (sweep seconds / index seconds, aggregated
 // over the >=50%-occupancy scenarios on the large grid) lands well above
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "reference/admission.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -72,16 +74,15 @@ struct ArmRun {
 };
 
 /// Fill to `target` occupancy with a deterministic first-fit prefix, then
-/// time `probes` place(+remove-on-accept) admission probes. Arms differ
-/// only in options.free_space_index, so fills and probe decisions must be
-/// bit-identical between them.
+/// time `probes` place(+remove-on-accept) admission probes. Both placers
+/// implement the same admission contract, so fills and probe decisions
+/// must be bit-identical between the arms.
+template <typename Placer>
 ArmRun run_arm(const rr::fpga::PartialRegion& region,
                std::span<const rr::model::Module> library,
-               PreparedTables& tables, bool use_index, double target,
-               int probes, std::uint64_t seed) {
-  rr::baseline::OnlineOptions options;
-  options.free_space_index = use_index;
-  rr::baseline::OnlinePlacer placer(region, options);
+               PreparedTables& tables, double target, int probes,
+               std::uint64_t seed) {
+  Placer placer(region);
   placer.set_table_source(&tables);
 
   rr::Rng rng(seed);
@@ -173,10 +174,10 @@ int main() {
       const std::uint64_t seed =
           config.seed + 1000 * static_cast<std::uint64_t>(s) +
           static_cast<std::uint64_t>(run);
-      const ArmRun sweep = run_arm(region, library, tables, false,
-                                   scenario.occupancy, probes, seed);
-      const ArmRun index = run_arm(region, library, tables, true,
-                                   scenario.occupancy, probes, seed);
+      const ArmRun sweep = run_arm<reference::SweepPlacer>(
+          region, library, tables, scenario.occupancy, probes, seed);
+      const ArmRun index = run_arm<baseline::OnlinePlacer>(
+          region, library, tables, scenario.occupancy, probes, seed);
       occupancies[s] = index.fill_occupancy;
       for (std::size_t i = 0; i < sweep.decisions.size(); ++i)
         if (sweep.decisions[i] != index.decisions[i]) ++mismatches;

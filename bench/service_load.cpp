@@ -3,29 +3,26 @@
 //
 // Identical per-tenant churn scripts (place/remove with occasional
 // transient faults and scrub repairs) are pumped through the in-process
-// PlacementService three times by one submitter thread per tenant:
+// PlacementService twice by one submitter thread per tenant:
 //   - cache + MER index     the production path (solve-context cache and
 //                           free-space-indexed admission)
-//   - cache + bitmap sweep  cache on, free_space_index off — isolates the
-//                           admission path
 //   - anchor scan           no cache: every request pays table preparation
-// All tenants run the same fabric and library, so the cached arms prepare
+// All tenants run the same fabric and library, so the cached arm prepares
 // the healthy-fabric tables once and every return to the healthy
 // signature after a repair is a hit; each novel faulted signature is a
 // miss by design (acquisitions only happen at startup and on fault
 // events, so the hit *rate* sits well below 1 while the hot healthy entry
 // is never rebuilt).
 //
-// Expected shape: the cached arms sustain well over 1.5x the uncached
+// Expected shape: the cached arm sustains well over 1.5x the uncached
 // throughput with a lower p99 (the scan leaves the request path), the
 // healthy-signature acquisitions all hit, and the per-tenant responses of
-// all three arms are
-// bit-identical (mismatches = 0) — cached tables equal freshly scanned
-// ones and index admission equals the sweep, the two invariants that make
-// the fast path safe. The submit-to-completion latency is additionally
-// split into in-placer service time and queue wait (total = service +
-// queue per request), so index wins show up in the service component
-// rather than being buried under queueing noise.
+// both arms are bit-identical (mismatches = 0) — cached tables equal
+// freshly scanned ones, the invariant that makes the fast path safe. The
+// submit-to-completion latency is additionally split into in-placer
+// service time and queue wait (total = service + queue per request).
+// Index admission against the bitmap sweep is measured by bench/free_space
+// and held to the reference by the free_space_fuzz_test differentials.
 #include <future>
 #include <thread>
 #include <vector>
@@ -43,9 +40,8 @@ using rr::service::Response;
 /// that throughput measures placement, common enough that both arms pay
 /// context refreshes and displacement recovery. The live cap keeps each
 /// tenant hovering near saturation: admissions stay hard (frequent
-/// rejects, fragmented free space), which is both the regime an online
-/// placement service actually degrades in and the one where the admission
-/// path — MER index vs bitmap sweep — dominates the request cost.
+/// rejects, fragmented free space), the regime an online placement service
+/// actually degrades in.
 std::vector<Request> tenant_script(int tenant, std::uint64_t seed,
                                    int requests, int library_size,
                                    int fabric_width, int fabric_height) {
@@ -104,8 +100,7 @@ struct ArmResult {
 ArmResult run_arm(const std::shared_ptr<const rr::fpga::Fabric>& fabric,
                   const std::vector<rr::model::Module>& library,
                   const std::vector<std::vector<Request>>& scripts,
-                  int workers, bool cache_enabled,
-                  bool free_space_index = true) {
+                  int workers, bool cache_enabled) {
   const int tenants = static_cast<int>(scripts.size());
   std::vector<rr::service::Tenant::Config> configs;
   configs.reserve(static_cast<std::size_t>(tenants));
@@ -113,7 +108,6 @@ ArmResult run_arm(const std::shared_ptr<const rr::fpga::Fabric>& fabric,
     rr::service::Tenant::Config config;
     config.fabric = fabric;
     config.library = library;
-    config.online.free_space_index = free_space_index;
     configs.push_back(std::move(config));
   }
   rr::service::ServiceOptions options;
@@ -175,56 +169,37 @@ int main() {
                                     static_cast<int>(library.size()),
                                     fabric->width(), fabric->height()));
 
-  RunningStats cached_rps, uncached_rps, sweep_rps, speedup, index_speedup;
-  RunningStats cached_p50, cached_p99, uncached_p99, sweep_p99;
-  RunningStats service_p99, queue_p99, sweep_service_p99, service_speedup;
+  RunningStats cached_rps, uncached_rps, speedup;
+  RunningStats cached_p50, cached_p99, uncached_p99;
+  RunningStats service_p99, queue_p99;
   RunningStats hit_rate, batched;
   long mismatches = 0;
   for (int run = 0; run < config.runs; ++run) {
     // Uncached arm first so the cached arm can't inherit anything warm.
     const ArmResult uncached =
         run_arm(fabric, library, scripts, workers, false);
-    // Sweep arm: context cache on, free-space index off — isolates the
-    // admission path from the table-preparation cost.
-    const ArmResult sweep =
-        run_arm(fabric, library, scripts, workers, true, false);
     const ArmResult cached = run_arm(fabric, library, scripts, workers, true);
     cached_rps.add(cached.throughput);
     uncached_rps.add(uncached.throughput);
-    sweep_rps.add(sweep.throughput);
     if (uncached.throughput > 0.0)
       speedup.add(cached.throughput / uncached.throughput);
-    if (sweep.throughput > 0.0)
-      index_speedup.add(cached.throughput / sweep.throughput);
     cached_p50.add(cached.stats.latency_p50_ms);
     cached_p99.add(cached.stats.latency_p99_ms);
     uncached_p99.add(uncached.stats.latency_p99_ms);
-    sweep_p99.add(sweep.stats.latency_p99_ms);
     service_p99.add(cached.stats.latency_service_p99_ms);
     queue_p99.add(cached.stats.latency_queue_p99_ms);
-    sweep_service_p99.add(sweep.stats.latency_service_p99_ms);
-    // The index win shows in the service component: total latency is
-    // dominated by queue wait under the submit-everything-up-front load,
-    // which amplifies scheduler noise far beyond the admission cost.
-    if (cached.stats.latency_service_p99_ms > 0.0)
-      service_speedup.add(sweep.stats.latency_service_p99_ms /
-                          cached.stats.latency_service_p99_ms);
     hit_rate.add(cached.stats.cache.hit_rate());
     batched.add(cached.stats.requests > 0
                     ? static_cast<double>(cached.stats.batched_requests) /
                           static_cast<double>(cached.stats.requests)
                     : 0.0);
-    // Determinism gate: cached tables equal freshly scanned ones, and index
-    // admission equals the bitmap sweep, so all three arms must answer
-    // every request identically.
+    // Determinism gate: cached tables equal freshly scanned ones, so both
+    // arms must answer every request identically.
     for (int t = 0; t < tenants; ++t) {
       const auto& a = cached.responses[static_cast<std::size_t>(t)];
       const auto& b = uncached.responses[static_cast<std::size_t>(t)];
-      const auto& c = sweep.responses[static_cast<std::size_t>(t)];
-      for (std::size_t i = 0; i < a.size(); ++i) {
+      for (std::size_t i = 0; i < a.size(); ++i)
         if (a[i] != b[i]) ++mismatches;
-        if (a[i] != c[i]) ++mismatches;
-      }
     }
   }
 
@@ -235,8 +210,6 @@ int main() {
   table.add_row({"cache + MER index", TextTable::num(cached_rps.mean(), 1),
                  TextTable::num(cached_p50.mean(), 3),
                  TextTable::num(cached_p99.mean(), 3)});
-  table.add_row({"cache + bitmap sweep", TextTable::num(sweep_rps.mean(), 1),
-                 "-", TextTable::num(sweep_p99.mean(), 3)});
   table.add_row({"anchor scan per request",
                  TextTable::num(uncached_rps.mean(), 1), "-",
                  TextTable::num(uncached_p99.mean(), 3)});
@@ -246,34 +219,25 @@ int main() {
                              " requests on " + std::to_string(workers) +
                              " workers");
   std::cout << "cache speedup: " << TextTable::num(speedup.mean(), 2)
-            << "x  index speedup: " << TextTable::num(index_speedup.mean(), 2)
             << "x  hit rate: " << TextTable::pct(hit_rate.mean())
             << "  batched: " << TextTable::pct(batched.mean()) << '\n';
-  std::cout << "p99 split (index arm): service "
+  std::cout << "p99 split (cached arm): service "
             << TextTable::num(service_p99.mean(), 3) << "ms, queue "
             << TextTable::num(queue_p99.mean(), 3)
-            << "ms  service p99 vs sweep: "
-            << TextTable::num(sweep_service_p99.mean(), 3) << "ms ("
-            << TextTable::num(service_speedup.mean(), 2)
-            << "x)  mismatches: " << mismatches << '\n';
+            << "ms  mismatches: " << mismatches << '\n';
 
   record.add_result("requests", json::Value(total_requests));
   record.add_result("tenants", json::Value(tenants));
   record.add_result("workers", json::Value(workers));
   record.add_result("throughput_rps", cached_rps);
   record.add_result("throughput_rps_uncached", uncached_rps);
-  record.add_result("throughput_rps_sweep", sweep_rps);
   record.add_result("cache_speedup", speedup);
-  record.add_result("index_speedup", index_speedup);
   record.add_result("cache_hit_rate", hit_rate);
   record.add_result("latency_p50_ms", cached_p50);
   record.add_result("latency_p99_ms", cached_p99);
   record.add_result("latency_p99_ms_uncached", uncached_p99);
-  record.add_result("latency_p99_ms_sweep", sweep_p99);
   record.add_result("latency_service_p99_ms", service_p99);
   record.add_result("latency_queue_p99_ms", queue_p99);
-  record.add_result("latency_service_p99_ms_sweep", sweep_service_p99);
-  record.add_result("service_p99_speedup", service_speedup);
   record.add_result("batched_fraction", batched);
   record.add_result("mismatches", json::Value(mismatches));
   return 0;

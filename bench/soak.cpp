@@ -68,12 +68,12 @@ rr::service::PlacementService make_service(
     rr::service::Tenant::Config config;
     config.fabric = fabric;
     config.library = library;
-    // All arms run the uncached anchor-scan path: with the solve-context
-    // cache and MER index on, a request costs tens of microseconds and the
-    // 1.5x acceptance bound drowns in scheduler wake-up noise. The slow
-    // path puts the unit of work at ~1ms, where queue wait vs deadline is
-    // the only thing separating the arms.
-    config.online.free_space_index = false;
+    // All arms run with the solve-context cache off, so every request pays
+    // its anchor scan: with cached tables a request costs tens of
+    // microseconds and the 1.5x acceptance bound drowns in scheduler
+    // wake-up noise. The scan puts the unit of work in the hundreds of
+    // microseconds, where queue wait vs deadline is the only thing
+    // separating the arms.
     configs.push_back(std::move(config));
   }
   rr::service::ServiceOptions options;

@@ -1,8 +1,6 @@
 #include "baseline/online.hpp"
 
 #include <algorithm>
-#include <array>
-#include <tuple>
 
 #include "geost/anchor_kernel.hpp"
 #include "geost/object.hpp"
@@ -17,14 +15,11 @@ OnlinePlacer::OnlinePlacer(const fpga::PartialRegion& region,
                            OnlineOptions options)
     : region_(region),
       options_(options),
-      occupied_(region.height(), region.width()) {
-  if (options_.free_space_index)
-    index_ = FreeSpaceIndex(FreeSpaceIndex::union_of(region_.masks()));
-}
+      occupied_(region.height(), region.width()),
+      index_(FreeSpaceIndex::union_of(region_.masks())) {}
 
 void OnlinePlacer::refresh_region() {
-  if (options_.free_space_index)
-    index_.set_available(FreeSpaceIndex::union_of(region_.masks()));
+  index_.set_available(FreeSpaceIndex::union_of(region_.masks()));
   query_cache_.clear();
 }
 
@@ -66,44 +61,6 @@ void OnlinePlacer::build_tables(const model::Module& module,
   for (const geost::ShapeFootprint& shape : shapes)
     anchors.push_back(geost::compute_valid_anchors(region_.masks(), shape));
   table = geost::sorted_placement_table(shapes, anchors);
-}
-
-std::optional<geost::Placement> OnlinePlacer::first_fit(
-    const BitMatrix& occupancy,
-    const std::vector<geost::ShapeFootprint>& shapes,
-    const std::vector<geost::Placement>& table) const {
-  // Hybrid scan: at low occupancy first-fit succeeds within a handful of
-  // bottom-left entries, so probe a scalar prefix before paying for batch
-  // conflict bitmaps. The batch remainder tests each entry with one bit
-  // probe into a per-shape dilated bitmap — identical verdicts, since
-  // conflict(y, x) == intersects_shifted(shape, y, x) for every anchor.
-  constexpr std::size_t kScalarPrefix = 64;
-  const std::size_t prefix = options_.batch_feasibility
-                                 ? std::min(kScalarPrefix, table.size())
-                                 : table.size();
-  for (std::size_t t = 0; t < prefix; ++t) {
-    const geost::Placement& p = table[t];
-    const geost::ShapeFootprint& shape =
-        shapes[static_cast<std::size_t>(p.shape)];
-    if (occupancy.intersects_shifted(shape.mask(), p.y, p.x)) continue;
-    return p;
-  }
-  if (!options_.batch_feasibility || prefix == table.size())
-    return std::nullopt;
-  std::vector<BitMatrix> conflicts(shapes.size());
-  std::vector<unsigned char> built(shapes.size(), 0);
-  for (std::size_t t = prefix; t < table.size(); ++t) {
-    const geost::Placement& p = table[t];
-    const std::size_t s = static_cast<std::size_t>(p.shape);
-    if (!built[s]) {
-      conflicts[s] = BitMatrix(occupancy.rows(), occupancy.cols());
-      geost::accumulate_conflicts(conflicts[s], occupancy, shapes[s].mask(),
-                                  0, occupancy.rows());
-      built[s] = 1;
-    }
-    if (!conflicts[s].get(p.y, p.x)) return p;
-  }
-  return std::nullopt;
 }
 
 OnlinePlacer::ShapeQueryData OnlinePlacer::build_query_data(
@@ -175,104 +132,6 @@ std::optional<geost::Placement> OnlinePlacer::index_fit(
   return geost::Placement{pick->shape, pick->x, pick->y};
 }
 
-std::optional<geost::Placement> OnlinePlacer::sweep_fit(
-    const BitMatrix& occupancy,
-    const std::vector<geost::ShapeFootprint>& shapes,
-    const std::vector<geost::Placement>& table,
-    const comm::PinContext* comm) const {
-  // kFirstFit wants the first feasible entry in table order — exactly the
-  // early-exit hybrid scan. The other policies must see every feasible
-  // entry, so they pay a full scan and reduce under the policy key.
-  // kCommCost without a ranking context cannot distinguish anchors and
-  // degrades to the same first-fit order (zero-weight oracle, matching the
-  // index arm's null-cost fallback).
-  if (options_.policy == AnchorPolicy::kFirstFit ||
-      (options_.policy == AnchorPolicy::kCommCost && comm == nullptr))
-    return first_fit(occupancy, shapes, table);
-  std::vector<BitMatrix> conflicts(shapes.size());
-  std::vector<unsigned char> built(shapes.size(), 0);
-  const auto feasible = [&](const geost::Placement& p) {
-    const std::size_t s = static_cast<std::size_t>(p.shape);
-    if (!options_.batch_feasibility)
-      return !occupancy.intersects_shifted(shapes[s].mask(), p.y, p.x);
-    if (!built[s]) {
-      conflicts[s] = BitMatrix(occupancy.rows(), occupancy.cols());
-      geost::accumulate_conflicts(conflicts[s], occupancy, shapes[s].mask(),
-                                  0, occupancy.rows());
-      built[s] = 1;
-    }
-    return !conflicts[s].get(p.y, p.x);
-  };
-  if (options_.policy == AnchorPolicy::kCommCost) {
-    // Pinned key (cost, x + bbox.width, x, y, shape) — the same strict-`<`
-    // reduction the index arm runs over its feasible bitmap, so both arms
-    // resolve equal-cost ties to the same anchor.
-    const geost::Placement* best = nullptr;
-    std::array<long, 5> best_key{};
-    for (const geost::Placement& p : table) {
-      const Rect box =
-          shapes[static_cast<std::size_t>(p.shape)].bounding_box();
-      const std::array<long, 5> key{comm->cost2(comm::center2(box, p.x, p.y)),
-                                    p.x + box.width, p.x, p.y, p.shape};
-      if (best != nullptr && !(key < best_key)) continue;
-      if (!feasible(p)) continue;
-      best = &p;
-      best_key = key;
-    }
-    if (best == nullptr) return std::nullopt;
-    return *best;
-  }
-  if (options_.policy == AnchorPolicy::kBottomLeft) {
-    const geost::Placement* best = nullptr;
-    for (const geost::Placement& p : table) {
-      if (best != nullptr &&
-          std::tuple(best->y, best->x, best->shape) <=
-              std::tuple(p.y, p.x, p.shape))
-        continue;
-      if (feasible(p)) best = &p;
-    }
-    if (best == nullptr) return std::nullopt;
-    return *best;
-  }
-  // kBestFit: tightest hole — the smallest maximal empty rectangle of the
-  // current free bitmap containing the shape's first part; ties fall back
-  // to the first-fit key, which is the table order, so the first feasible
-  // entry attaining the minimum wins.
-  BitMatrix free = FreeSpaceIndex::union_of(region_.masks());
-  free.clear_shifted(occupancy, 0, 0);
-  const std::vector<Rect> mers = FreeSpaceIndex::enumerate(free);
-  std::vector<std::vector<Rect>> parts(shapes.size());
-  for (std::size_t s = 0; s < shapes.size(); ++s)
-    parts[s] = decompose_mask(shapes[s].mask());
-  const geost::Placement* best = nullptr;
-  long best_area = 0;
-  for (const geost::Placement& p : table) {
-    if (!feasible(p)) continue;
-    const Rect probe =
-        parts[static_cast<std::size_t>(p.shape)].front().translated(
-            {p.x, p.y});
-    long area = -1;
-    for (const Rect& m : mers)
-      if (m.contains(probe) && (area < 0 || m.area() < area)) area = m.area();
-    RR_ASSERT(area > 0);  // feasible => the part is free => some MER holds it
-    if (best == nullptr || area < best_area) {
-      best = &p;
-      best_area = area;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return *best;
-}
-
-std::optional<geost::Placement> OnlinePlacer::find_spot(
-    const BitMatrix& occupancy, const FreeSpaceIndex* index,
-    const std::vector<geost::ShapeFootprint>& shapes,
-    const std::vector<geost::Placement>& table,
-    const placer::ModuleTables* cached, const comm::PinContext* comm) const {
-  return index != nullptr ? index_fit(*index, shapes, table, cached, comm)
-                          : sweep_fit(occupancy, shapes, table, comm);
-}
-
 std::optional<placer::ModulePlacement> OnlinePlacer::place(
     int instance_id, const model::Module& module, double budget_seconds) {
   RR_REQUIRE(!live_.contains(instance_id),
@@ -291,19 +150,17 @@ std::optional<placer::ModulePlacement> OnlinePlacer::place(
   const std::vector<geost::Placement>& table =
       cached != nullptr ? cached->table : local_table;
 
-  const FreeSpaceIndex* index = options_.free_space_index ? &index_ : nullptr;
   comm::PinContext pin_context;
   const comm::PinContext* comm_ctx = nullptr;
   if (options_.policy == AnchorPolicy::kCommCost) {
     pin_context = build_pin_context(module.name(), instance_id);
     if (!pin_context.empty()) comm_ctx = &pin_context;
   }
-  if (const auto p = find_spot(occupied_, index, shapes, table, cached,
-                               comm_ctx)) {
+  if (const auto p = index_fit(index_, shapes, table, cached, comm_ctx)) {
     const geost::ShapeFootprint& shape =
         shapes[static_cast<std::size_t>(p->shape)];
     occupied_.or_shifted(shape.mask(), p->y, p->x);
-    if (options_.free_space_index) index_.occupy(shape.mask(), p->y, p->x);
+    index_.occupy(shape.mask(), p->y, p->x);
     occupied_tiles_ += shape.area();
     live_.emplace(instance_id,
                   LiveInstance{module, p->shape, p->x, p->y});
@@ -311,7 +168,7 @@ std::optional<placer::ModulePlacement> OnlinePlacer::place(
     return placer::ModulePlacement{instance_id, p->shape, p->x, p->y};
   }
 
-  // First-fit failed: defragment, unless disabled or gated off. A caller
+  // Admission failed: defragment, unless disabled or gated off. A caller
   // budget clamps the configured pass deadline (remaining-budget deadline
   // propagation) but never enables defrag on its own.
   if (options_.defrag.deadline_seconds <= 0.0) return std::nullopt;
@@ -366,18 +223,13 @@ std::optional<placer::ModulePlacement> OnlinePlacer::defrag_place(
   const int scan_limit =
       std::min<int>(options_.defrag.max_anchor_scan,
                     static_cast<int>(table.size()));
-  // Batch mode: one conflict bitmap per (live instance, request shape)
-  // pair, built lazily — conflict(y, x) answers "would the request overlap
-  // this instance at anchor (x, y)" for the whole scan at once, so the
+  // One conflict bitmap per (live instance, request shape) pair, built
+  // lazily — conflict(y, x) answers "would the request overlap this
+  // instance at anchor (x, y)" for the whole scan at once, so the
   // per-anchor overlap popcount is paid only for actual blockers.
-  std::vector<BitMatrix> inst_conflicts;
-  std::vector<unsigned char> inst_built;
-  BitMatrix inst_scratch;
-  if (options_.batch_feasibility) {
-    inst_conflicts.resize(live.size() * shapes.size());
-    inst_built.assign(inst_conflicts.size(), 0);
-    inst_scratch = BitMatrix(region_.height(), region_.width());
-  }
+  std::vector<BitMatrix> inst_conflicts(live.size() * shapes.size());
+  std::vector<unsigned char> inst_built(inst_conflicts.size(), 0);
+  BitMatrix inst_scratch(region_.height(), region_.width());
   for (int t = 0; t < scan_limit; ++t) {
     if ((t & 31) == 0 && deadline.expired()) break;
     const geost::Placement& p = table[static_cast<std::size_t>(t)];
@@ -387,20 +239,18 @@ std::optional<placer::ModulePlacement> OnlinePlacer::defrag_place(
     bool have_scratch = false;
     for (std::size_t i = 0; i < live.size(); ++i) {
       const LiveInstance& li = live_.at(live[i].module);
-      if (options_.batch_feasibility) {
-        const std::size_t key =
-            i * shapes.size() + static_cast<std::size_t>(p.shape);
-        if (!inst_built[key]) {
-          BitMatrix& conflict = inst_conflicts[key];
-          conflict = BitMatrix(region_.height(), region_.width());
-          inst_scratch.clear();
-          inst_scratch.or_shifted(li.footprint().mask(), li.y, li.x);
-          geost::accumulate_conflicts(conflict, inst_scratch, shape.mask(), 0,
-                                      region_.height());
-          inst_built[key] = 1;
-        }
-        if (!inst_conflicts[key].get(p.y, p.x)) continue;
+      const std::size_t key =
+          i * shapes.size() + static_cast<std::size_t>(p.shape);
+      if (!inst_built[key]) {
+        BitMatrix& conflict = inst_conflicts[key];
+        conflict = BitMatrix(region_.height(), region_.width());
+        inst_scratch.clear();
+        inst_scratch.or_shifted(li.footprint().mask(), li.y, li.x);
+        geost::accumulate_conflicts(conflict, inst_scratch, shape.mask(), 0,
+                                    region_.height());
+        inst_built[key] = 1;
       }
+      if (!inst_conflicts[key].get(p.y, p.x)) continue;
       if (!have_scratch) {
         scratch.clear();
         scratch.or_shifted(shape.mask(), p.y, p.x);
@@ -508,29 +358,23 @@ std::optional<placer::ModulePlacement> OnlinePlacer::defrag_place(
   }
 
   // --- Tier 2: greedy bottom-left shake. Lift the cheapest relocation set
-  // out of the occupancy, then first-fit the request and the lifted modules
-  // (by decreasing area) back in. One linear pass — the degraded mode when
-  // the exact tier ran out of time (after a refutation of every candidate
-  // set it would be pointless: the shake explores a subset of that space).
+  // out of the occupancy, then admit the request and the lifted modules
+  // (by decreasing area) back in under the configured policy. One linear
+  // pass — the degraded mode when the exact tier ran out of time (after a
+  // refutation of every candidate set it would be pointless: the shake
+  // explores a subset of that space).
   if (deadline_cut) {
     const std::vector<int>& shake_set = candidates.front().blockers;
-    // Relocation-target search on the shaken state: the index arm clones
-    // the live index and releases the lifted footprints, so its free space
-    // mirrors the shaken bitmap exactly.
-    BitMatrix shaken = occupied_;
-    FreeSpaceIndex shadow;
-    if (options_.free_space_index) shadow = index_;
+    // Relocation-target search on the shaken state: a shadow copy of the
+    // live index with the lifted footprints released.
+    FreeSpaceIndex shadow = index_;
     for (const int id : shake_set) {
       const LiveInstance& li = live_.at(id);
-      shaken.clear_shifted(li.footprint().mask(), li.y, li.x);
-      if (options_.free_space_index)
-        shadow.release(li.footprint().mask(), li.y, li.x);
+      shadow.release(li.footprint().mask(), li.y, li.x);
     }
-    const FreeSpaceIndex* shadow_ptr =
-        options_.free_space_index ? &shadow : nullptr;
     // kCommCost ranking contexts fold pins from live_ as it stands during
-    // the shake — lifted modules still contribute their old pins, which is
-    // deterministic and identical for both arms (the oracle's requirement).
+    // the shake — lifted modules still contribute their old pins, which
+    // keeps the plan deterministic.
     comm::PinContext request_ctx;
     const comm::PinContext* request_comm = nullptr;
     if (options_.policy == AnchorPolicy::kCommCost) {
@@ -538,13 +382,11 @@ std::optional<placer::ModulePlacement> OnlinePlacer::defrag_place(
       if (!request_ctx.empty()) request_comm = &request_ctx;
     }
     const auto request =
-        find_spot(shaken, shadow_ptr, shapes, table, cached, request_comm);
+        index_fit(shadow, shapes, table, cached, request_comm);
     if (request.has_value()) {
       const geost::ShapeFootprint& shape =
           shapes[static_cast<std::size_t>(request->shape)];
-      shaken.or_shifted(shape.mask(), request->y, request->x);
-      if (shadow_ptr != nullptr)
-        shadow.occupy(shape.mask(), request->y, request->x);
+      shadow.occupy(shape.mask(), request->y, request->x);
       std::vector<int> order = shake_set;
       std::sort(order.begin(), order.end(), [&](int a, int b) {
         const int area_a = live_.at(a).footprint().area();
@@ -572,16 +414,15 @@ std::optional<placer::ModulePlacement> OnlinePlacer::defrag_place(
           li_ctx = build_pin_context(li.module.name(), id);
           if (!li_ctx.empty()) li_comm = &li_ctx;
         }
-        const auto spot = find_spot(shaken, shadow_ptr, li_shapes, li_table,
-                                    li_cached, li_comm);
+        const auto spot =
+            index_fit(shadow, li_shapes, li_table, li_cached, li_comm);
         if (!spot.has_value()) {
           all_placed = false;
           break;
         }
         const BitMatrix& spot_mask =
             li_shapes[static_cast<std::size_t>(spot->shape)].mask();
-        shaken.or_shifted(spot_mask, spot->y, spot->x);
-        if (shadow_ptr != nullptr) shadow.occupy(spot_mask, spot->y, spot->x);
+        shadow.occupy(spot_mask, spot->y, spot->x);
         moves.push_back(Move{id, spot->shape, spot->x, spot->y});
       }
       if (all_placed) {
@@ -611,8 +452,7 @@ placer::ModulePlacement OnlinePlacer::commit_plan(
     if (li.shape == move.shape && li.x == move.x && li.y == move.y)
       continue;  // kept in place: no reconfiguration
     occupied_.clear_shifted(li.footprint().mask(), li.y, li.x);
-    if (options_.free_space_index)
-      index_.release(li.footprint().mask(), li.y, li.x);
+    index_.release(li.footprint().mask(), li.y, li.x);
     applied.push_back(&move);
   }
   for (const Move* move : applied) {
@@ -625,8 +465,7 @@ placer::ModulePlacement OnlinePlacer::commit_plan(
     const long new_area = new_shape.area();
     RR_ASSERT(!occupied_.intersects_shifted(new_shape.mask(), li.y, li.x));
     occupied_.or_shifted(new_shape.mask(), li.y, li.x);
-    if (options_.free_space_index)
-      index_.occupy(new_shape.mask(), li.y, li.x);
+    index_.occupy(new_shape.mask(), li.y, li.x);
     occupied_tiles_ += new_area - old_area;
     ++defrag_stats_.relocated_modules;
     defrag_stats_.relocated_tiles +=
@@ -645,8 +484,7 @@ placer::ModulePlacement OnlinePlacer::commit_plan(
            : module.shapes().front());
   RR_ASSERT(!occupied_.intersects_shifted(shape.mask(), request.y, request.x));
   occupied_.or_shifted(shape.mask(), request.y, request.x);
-  if (options_.free_space_index)
-    index_.occupy(shape.mask(), request.y, request.x);
+  index_.occupy(shape.mask(), request.y, request.x);
   occupied_tiles_ += shape.area();
   live_.emplace(instance_id,
                 LiveInstance{module, request.shape, request.x, request.y});
@@ -669,8 +507,7 @@ void OnlinePlacer::remove(int instance_id) {
              "instance id " + std::to_string(instance_id) + " is not placed");
   const LiveInstance& instance = it->second;
   occupied_.clear_shifted(instance.footprint().mask(), instance.y, instance.x);
-  if (options_.free_space_index)
-    index_.release(instance.footprint().mask(), instance.y, instance.x);
+  index_.release(instance.footprint().mask(), instance.y, instance.x);
   occupied_tiles_ -= instance.footprint().area();
   live_.erase(it);
   ++epoch_;

@@ -3,10 +3,13 @@
 // placer manages free space incrementally).
 //
 // OnlinePlacer keeps the occupancy state of a region and serves place() /
-// remove() requests with a bottom-left first-fit over precomputed anchor
-// tables. It is the comparison point for the paper's offline in-advance
-// placement, and demonstrates how design alternatives raise the request
-// acceptance ratio (service level) under fragmentation.
+// remove() requests: each request's anchor table is intersected with the
+// incrementally maintained maximal-empty-rectangle index of the free space
+// (geo/free_space), and the anchor policy (bottom-left first fit by
+// default) picks among the feasible anchors. It is the comparison point
+// for the paper's offline in-advance placement, and demonstrates how design
+// alternatives raise the request acceptance ratio (service level) under
+// fragmentation.
 //
 // When a defrag deadline is configured, a rejected request additionally
 // triggers an online defragmentation pass in the spirit of van der Veen et
@@ -96,21 +99,9 @@ struct OnlineDefragStats {
 
 struct OnlineOptions {
   bool use_alternatives = true;
-  /// Batch anchor-feasibility kernels (geost/anchor_kernel) for the
-  /// first-fit scan and the defrag blocking-cell ranking: conflicts are
-  /// computed for all anchors of a shape in one dilation sweep instead of
-  /// one intersects/overlap call per anchor. Placements and defrag plans
-  /// are identical either way; false keeps the per-anchor loops (the
-  /// differential oracle).
-  bool batch_feasibility = true;
-  /// Answer admission queries from the incremental maximal-empty-rectangle
-  /// index (geo/free_space) instead of sweeping anchor tables against the
-  /// occupancy bitmap. Accept/reject decisions and chosen anchors are
-  /// bit-identical either way; false keeps the bitmap sweep as the
-  /// differential oracle (and skips all index maintenance).
-  bool free_space_index = true;
-  /// Which feasible anchor wins a placement query; see AnchorPolicy. Both
-  /// the index and the sweep honour the policy identically.
+  /// Which feasible anchor wins a placement query; see AnchorPolicy.
+  /// Admission is answered by the incremental maximal-empty-rectangle index
+  /// (geo/free_space), which implements every policy.
   AnchorPolicy policy = AnchorPolicy::kFirstFit;
   /// Communication model for AnchorPolicy::kCommCost: a request's candidate
   /// anchors are ranked by the weighted HPWL growth against the pins of the
@@ -187,8 +178,9 @@ class OnlinePlacer {
     return occupied_;
   }
 
-  /// The free-space index (meaningful only while options.free_space_index;
-  /// otherwise it is empty). Exposed for recovery-tier queries and tests.
+  /// The free-space index that answers every admission query; it mirrors
+  /// occupied_matrix() against the region's union availability. Exposed for
+  /// tests and benches.
   [[nodiscard]] const FreeSpaceIndex& free_space() const noexcept {
     return index_;
   }
@@ -237,13 +229,6 @@ class OnlinePlacer {
                     std::vector<geost::ShapeFootprint>& shapes,
                     std::vector<geost::Placement>& table) const;
 
-  /// Bottom-left first-fit of `shapes` against `occupancy`; nullopt when no
-  /// table entry is conflict-free.
-  [[nodiscard]] std::optional<geost::Placement> first_fit(
-      const BitMatrix& occupancy,
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table) const;
-
   /// Per-shape inputs for FreeSpaceIndex::best_anchor, derived purely from
   /// a table's contents (anchor bitmaps scattered from its entries, part
   /// decompositions of its shapes) — never from occupancy, so cached data
@@ -257,28 +242,12 @@ class OnlinePlacer {
       const std::vector<geost::ShapeFootprint>& shapes,
       const std::vector<geost::Placement>& table) const;
 
-  /// Policy-aware admission via the free-space index; decisions match
-  /// sweep_fit bit-for-bit. `cached` (may be null) keys the query-data
-  /// cache. `comm` (may be null) is the kCommCost ranking context.
+  /// Policy-aware admission of `shapes`/`table` against `index` (the live
+  /// index, or a defrag shake's shadow copy). `cached` (may be null) keys
+  /// the query-data cache. `comm` (may be null) is the kCommCost ranking
+  /// context.
   [[nodiscard]] std::optional<geost::Placement> index_fit(
       const FreeSpaceIndex& index,
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table,
-      const placer::ModuleTables* cached,
-      const comm::PinContext* comm) const;
-
-  /// Policy-aware admission via the occupancy-bitmap sweep (the
-  /// differential oracle). kFirstFit delegates to first_fit; the other
-  /// policies reduce over every feasible table entry.
-  [[nodiscard]] std::optional<geost::Placement> sweep_fit(
-      const BitMatrix& occupancy,
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table,
-      const comm::PinContext* comm) const;
-
-  /// Dispatch: index when `index` is non-null, sweep otherwise.
-  [[nodiscard]] std::optional<geost::Placement> find_spot(
-      const BitMatrix& occupancy, const FreeSpaceIndex* index,
       const std::vector<geost::ShapeFootprint>& shapes,
       const std::vector<geost::Placement>& table,
       const placer::ModuleTables* cached,
@@ -315,8 +284,8 @@ class OnlinePlacer {
   BitMatrix occupied_;
   long occupied_tiles_ = 0;
   std::unordered_map<int, LiveInstance> live_;
-  /// Mirrors occupied_ against the region's union availability; maintained
-  /// at every occupancy mutation while options_.free_space_index.
+  /// Mirrors occupied_ against the region's union availability; updated at
+  /// every occupancy mutation.
   FreeSpaceIndex index_;
   /// Anchor bitmaps / parts per cached table, built on first index query.
   mutable std::unordered_map<const placer::ModuleTables*, ShapeQueryData>

@@ -1,7 +1,6 @@
 #include "runtime/recovery.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "geost/object.hpp"
 #include "placer/brancher.hpp"
@@ -34,10 +33,8 @@ FaultRecoveryManager::FaultRecoveryManager(fpga::PartialRegion region,
       faults_(region_.fabric()),
       options_(options),
       initial_available_(region_.total_available()),
-      occupied_(region_.height(), region_.width()) {
-  if (options_.use_free_space_index)
-    index_ = FreeSpaceIndex(FreeSpaceIndex::union_of(region_.masks()));
-}
+      occupied_(region_.height(), region_.width()),
+      index_(FreeSpaceIndex::union_of(region_.masks())) {}
 
 double FaultRecoveryManager::capacity_retained() const {
   if (initial_available_ <= 0) return 0.0;
@@ -106,8 +103,7 @@ void FaultRecoveryManager::write_instance(int instance_id,
       module.shapes()[static_cast<std::size_t>(spot.shape)];
   RR_ASSERT(!occupied_.intersects_shifted(shape.mask(), spot.y, spot.x));
   occupied_.or_shifted(shape.mask(), spot.y, spot.x);
-  if (options_.use_free_space_index)
-    index_.occupy(shape.mask(), spot.y, spot.x);
+  index_.occupy(shape.mask(), spot.y, spot.x);
   occupied_tiles_ += shape.area();
   live_.insert_or_assign(
       instance_id, LiveInstance{module, spot.shape, spot.x, spot.y});
@@ -164,80 +160,43 @@ comm::PinContext FaultRecoveryManager::pin_context_for(
 }
 
 bool FaultRecoveryManager::try_first_fit(
+    const FreeSpaceIndex& index,
     const std::vector<geost::ShapeFootprint>& shapes,
     const std::vector<geost::Placement>& table, const Rect* window,
     const comm::PinContext* comm, Spot* out) const {
   if (comm != nullptr && comm->empty()) comm = nullptr;
-  if (options_.use_free_space_index) {
-    // Index query: anchors scattered from the (freshly built, so never
-    // stale) table, one rectangular decomposition per shape. The windowed
-    // bound on best_anchor equals the sweep's contains(bbox) filter.
-    std::vector<BitMatrix> anchors(
-        shapes.size(), BitMatrix(region_.height(), region_.width()));
-    for (const geost::Placement& p : table)
-      anchors[static_cast<std::size_t>(p.shape)].set(p.y, p.x, true);
-    std::vector<std::vector<Rect>> parts(shapes.size());
-    std::vector<AnchorQuery> queries(shapes.size());
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
-      parts[s] = decompose_mask(shapes[s].mask());
-      const Rect box = shapes[s].bounding_box();
-      queries[s] = AnchorQuery{&anchors[s], parts[s], box.width, box.height};
-    }
-    const AnchorCost cost = [&shapes, comm](int s, int x, int y) {
-      const Rect box = shapes[static_cast<std::size_t>(s)].bounding_box();
-      return comm->cost2(comm::center2(box, x, y));
-    };
-    const auto pick = index_.best_anchor(
-        queries,
-        comm != nullptr ? AnchorPolicy::kCommCost : AnchorPolicy::kFirstFit,
-        window, comm != nullptr ? &cost : nullptr);
-    if (!pick.has_value()) return false;
-    *out = Spot{pick->shape, pick->x, pick->y};
-    return true;
+  // Anchors scattered from the (freshly built, so never stale) table, one
+  // rectangular decomposition per shape; the window bounds each shape's
+  // bounding box.
+  std::vector<BitMatrix> anchors(
+      shapes.size(), BitMatrix(region_.height(), region_.width()));
+  for (const geost::Placement& p : table)
+    anchors[static_cast<std::size_t>(p.shape)].set(p.y, p.x, true);
+  std::vector<std::vector<Rect>> parts(shapes.size());
+  std::vector<AnchorQuery> queries(shapes.size());
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    parts[s] = decompose_mask(shapes[s].mask());
+    const Rect box = shapes[s].bounding_box();
+    queries[s] = AnchorQuery{&anchors[s], parts[s], box.width, box.height};
   }
-  if (comm != nullptr) {
-    // Sweep arm of the kCommCost policy: full scan reduced by the pinned
-    // (cost, x + width, x, y, shape) key — identical order to the index.
-    bool found = false;
-    std::array<long, 5> best_key{};
-    for (const geost::Placement& p : table) {
-      const geost::ShapeFootprint& shape =
-          shapes[static_cast<std::size_t>(p.shape)];
-      const Rect box = shape.bounding_box();
-      if (window != nullptr &&
-          !window->contains(box.translated(Point{p.x, p.y})))
-        continue;
-      const std::array<long, 5> key{
-          comm->cost2(comm::center2(box, p.x, p.y)), p.x + box.width, p.x,
-          p.y, p.shape};
-      if (found && !(key < best_key)) continue;
-      if (occupied_.intersects_shifted(shape.mask(), p.y, p.x)) continue;
-      best_key = key;
-      *out = Spot{p.shape, p.x, p.y};
-      found = true;
-    }
-    return found;
-  }
-  for (const geost::Placement& p : table) {
-    const geost::ShapeFootprint& shape =
-        shapes[static_cast<std::size_t>(p.shape)];
-    if (window != nullptr) {
-      const Rect bbox = shape.bounding_box().translated(Point{p.x, p.y});
-      if (!window->contains(bbox)) continue;
-    }
-    if (occupied_.intersects_shifted(shape.mask(), p.y, p.x)) continue;
-    *out = Spot{p.shape, p.x, p.y};
-    return true;
-  }
-  return false;
+  const AnchorCost cost = [&shapes, comm](int s, int x, int y) {
+    const Rect box = shapes[static_cast<std::size_t>(s)].bounding_box();
+    return comm->cost2(comm::center2(box, x, y));
+  };
+  const auto pick = index.best_anchor(
+      queries,
+      comm != nullptr ? AnchorPolicy::kCommCost : AnchorPolicy::kFirstFit,
+      window, comm != nullptr ? &cost : nullptr);
+  if (!pick.has_value()) return false;
+  *out = Spot{pick->shape, pick->x, pick->y};
+  return true;
 }
 
 bool FaultRecoveryManager::try_defrag(
-    int instance_id, const model::Module& module,
+    const model::Module& module,
     const std::vector<geost::ShapeFootprint>& shapes,
     const std::vector<geost::Placement>& table, const Deadline& deadline,
     bool* deadline_cut, bool* used_greedy, Spot* out) {
-  (void)instance_id;
   if (table.empty() || live_.empty()) return false;
 
   // Blocking-cell heuristic (the online defragmenter's candidate pass):
@@ -307,8 +266,7 @@ bool FaultRecoveryManager::try_defrag(
           li.y == move.spot.y)
         continue;  // kept in place: no reconfiguration
       occupied_.clear_shifted(li.footprint().mask(), li.y, li.x);
-      if (options_.use_free_space_index)
-        index_.release(li.footprint().mask(), li.y, li.x);
+      index_.release(li.footprint().mask(), li.y, li.x);
       applied.push_back(&move);
     }
     for (const Move* move : applied) {
@@ -321,8 +279,7 @@ bool FaultRecoveryManager::try_defrag(
       const long new_area = new_shape.area();
       RR_ASSERT(!occupied_.intersects_shifted(new_shape.mask(), li.y, li.x));
       occupied_.or_shifted(new_shape.mask(), li.y, li.x);
-      if (options_.use_free_space_index)
-        index_.occupy(new_shape.mask(), li.y, li.x);
+      index_.occupy(new_shape.mask(), li.y, li.x);
       occupied_tiles_ += new_area - old_area;
       ++stats_.relocated_modules;
       stats_.relocated_tiles += static_cast<std::uint64_t>(old_area + new_area);
@@ -390,27 +347,19 @@ bool FaultRecoveryManager::try_defrag(
   }
 
   // Greedy bottom-left shake: the degraded mode when the exact tier ran out
-  // of time. Lift the cheapest set, first-fit the victim, then the lifted
-  // modules by decreasing area.
+  // of time. Lift the cheapest set out of a shadow copy of the index,
+  // first-fit the victim, then the lifted modules by decreasing area.
   if (*deadline_cut) {
     const std::vector<int>& shake_set = candidates.front().blockers;
-    BitMatrix shaken = occupied_;
+    FreeSpaceIndex shadow = index_;
     for (const int id : shake_set) {
       const LiveInstance& li = live_.at(id);
-      shaken.clear_shifted(li.footprint().mask(), li.y, li.x);
+      shadow.release(li.footprint().mask(), li.y, li.x);
     }
-    std::optional<geost::Placement> request;
-    for (const geost::Placement& p : table) {
-      const geost::ShapeFootprint& shape =
-          shapes[static_cast<std::size_t>(p.shape)];
-      if (shaken.intersects_shifted(shape.mask(), p.y, p.x)) continue;
-      request = p;
-      break;
-    }
-    if (request.has_value()) {
-      const geost::ShapeFootprint& shape =
-          shapes[static_cast<std::size_t>(request->shape)];
-      shaken.or_shifted(shape.mask(), request->y, request->x);
+    Spot request;
+    if (try_first_fit(shadow, shapes, table, nullptr, nullptr, &request)) {
+      shadow.occupy(shapes[static_cast<std::size_t>(request.shape)].mask(),
+                    request.y, request.x);
       std::vector<int> order = shake_set;
       std::sort(order.begin(), order.end(), [&](int a, int b) {
         const int area_a = live_.at(a).footprint().area();
@@ -430,23 +379,18 @@ bool FaultRecoveryManager::try_defrag(
               geost::compute_valid_anchors(region_.masks(), s));
         const auto li_table =
             geost::sorted_placement_table(li_shapes, li_anchors);
-        bool found = false;
-        for (const geost::Placement& p : li_table) {
-          const geost::ShapeFootprint& s =
-              li_shapes[static_cast<std::size_t>(p.shape)];
-          if (shaken.intersects_shifted(s.mask(), p.y, p.x)) continue;
-          shaken.or_shifted(s.mask(), p.y, p.x);
-          moves.push_back(Move{id, Spot{p.shape, p.x, p.y}});
-          found = true;
-          break;
-        }
-        if (!found) {
+        Spot spot;
+        if (!try_first_fit(shadow, li_shapes, li_table, nullptr, nullptr,
+                           &spot)) {
           all_placed = false;
           break;
         }
+        shadow.occupy(li_shapes[static_cast<std::size_t>(spot.shape)].mask(),
+                      spot.y, spot.x);
+        moves.push_back(Move{id, spot});
       }
       if (all_placed) {
-        commit(moves, Spot{request->shape, request->x, request->y});
+        commit(moves, request);
         *used_greedy = true;
         return true;
       }
@@ -503,9 +447,10 @@ ModuleRecovery FaultRecoveryManager::recover_module(
           Rect{old_bbox.x - m, old_bbox.y - m, old_bbox.width + 2 * m,
                old_bbox.height + 2 * m}
               .intersection(Rect{0, 0, region_.width(), region_.height()});
-      found = try_first_fit(shapes, table, &window, comm_ctx, &spot);
+      found = try_first_fit(index_, shapes, table, &window, comm_ctx, &spot);
     }
-    if (!found) found = try_first_fit(shapes, table, nullptr, comm_ctx, &spot);
+    if (!found)
+      found = try_first_fit(index_, shapes, table, nullptr, comm_ctx, &spot);
     if (found) {
       write_instance(instance_id, module, spot);
       result.tier = RecoveryTier::kLocalReplace;
@@ -519,7 +464,7 @@ ModuleRecovery FaultRecoveryManager::recover_module(
   {
     Spot spot;
     bool used_greedy = false;
-    if (try_defrag(instance_id, module, shapes, table, deadline, deadline_cut,
+    if (try_defrag(module, shapes, table, deadline, deadline_cut,
                    &used_greedy, &spot)) {
       write_instance(instance_id, module, spot);
       result.tier =
@@ -628,8 +573,7 @@ FaultEventOutcome FaultRecoveryManager::on_fault(
   // Sync the free-space index with the changed availability masks before
   // any recovery query runs. Victim lifts below then release their cells;
   // cells under a fault stay out of the free set until repaired.
-  if (options_.use_free_space_index)
-    index_.set_available(FreeSpaceIndex::union_of(region_.masks()));
+  index_.set_available(FreeSpaceIndex::union_of(region_.masks()));
 
   // Find every live module the new fault hits, lift them all out of the
   // occupancy (their old tiles are then free for each other's recovery),
@@ -655,8 +599,7 @@ FaultEventOutcome FaultRecoveryManager::on_fault(
   for (const Victim& victim : victims) {
     const LiveInstance& li = live_.at(victim.id);
     occupied_.clear_shifted(li.footprint().mask(), li.y, li.x);
-    if (options_.use_free_space_index)
-      index_.release(li.footprint().mask(), li.y, li.x);
+    index_.release(li.footprint().mask(), li.y, li.x);
     occupied_tiles_ -= victim.old_area;
     live_.erase(victim.id);
   }

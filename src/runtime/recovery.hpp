@@ -41,6 +41,9 @@
 
 namespace rr::runtime {
 
+/// Tier-1 re-place and the tier-2 greedy shake answer their spot queries
+/// from the incremental maximal-empty-rectangle index (geo/free_space),
+/// kept in sync with every occupancy change and fault/repair overlay.
 struct FaultRecoveryOptions {
   /// Wall-clock budget per fault event; <= 0 means unlimited. Tier 0/1 are
   /// cheap and always run; the exact defrag tier honors the remainder and
@@ -55,12 +58,6 @@ struct FaultRecoveryOptions {
   int max_relocations = 3;
   /// Defrag tier: candidate anchors scanned for relocation sets.
   int max_anchor_scan = 128;
-  /// Serve the tier-1 local/global re-place queries from the incremental
-  /// maximal-empty-rectangle index (geo/free_space) instead of sweeping the
-  /// anchor table against the occupancy bitmap. Recovery outcomes are
-  /// bit-identical either way; false keeps the sweep (the differential
-  /// oracle) and skips all index maintenance.
-  bool use_free_space_index = true;
   /// Parked-module retries before the module is abandoned (permanently
   /// degraded capacity).
   int max_retries = 3;
@@ -72,10 +69,9 @@ struct FaultRecoveryOptions {
   /// picks the feasible spot of minimal communication cost against the
   /// surviving live modules (ties broken by the first-fit key) instead of
   /// plain first fit, so relocation does not needlessly separate chatty
-  /// pairs. Both the free-space-index and the sweep arm implement the same
-  /// pinned order, so the differential oracle holds. Null/empty nets or
-  /// comm_weight <= 0 keeps recovery byte-identical to the area-only path
-  /// (the zero-weight oracle).
+  /// pairs, in the free-space index's pinned kCommCost order. Null/empty
+  /// nets or comm_weight <= 0 keeps recovery byte-identical to the
+  /// area-only path (the zero-weight oracle).
   std::shared_ptr<const comm::NetList> nets;
   long comm_weight = 0;
 };
@@ -241,9 +237,12 @@ class FaultRecoveryManager {
   [[nodiscard]] bool try_inplace_swap(
       const std::vector<geost::ShapeFootprint>& shapes, const Rect& old_bbox,
       Spot* out) const;
-  /// Tier-1 spot search: first fit, or — when `comm` is non-null and
-  /// non-empty — minimal communication cost with first-fit tie-breaking.
+  /// Spot search against `index` (the live index, or the greedy shake's
+  /// shadow copy): first fit, or — when `comm` is non-null and non-empty —
+  /// minimal communication cost with first-fit tie-breaking. `window`, when
+  /// given, bounds each candidate's bounding box.
   [[nodiscard]] bool try_first_fit(
+      const FreeSpaceIndex& index,
       const std::vector<geost::ShapeFootprint>& shapes,
       const std::vector<geost::Placement>& table, const Rect* window,
       const comm::PinContext* comm, Spot* out) const;
@@ -254,7 +253,7 @@ class FaultRecoveryManager {
   [[nodiscard]] comm::PinContext pin_context_for(
       const model::Module& module) const;
   [[nodiscard]] bool try_defrag(
-      int instance_id, const model::Module& module,
+      const model::Module& module,
       const std::vector<geost::ShapeFootprint>& shapes,
       const std::vector<geost::Placement>& table, const Deadline& deadline,
       bool* deadline_cut, bool* used_greedy, Spot* out);
@@ -269,8 +268,7 @@ class FaultRecoveryManager {
   long initial_available_ = 0;
   BitMatrix occupied_;
   /// Mirrors occupied_ against the fault-aware union availability; synced
-  /// with every occupancy mutation and every fault/repair overlay change
-  /// while options_.use_free_space_index.
+  /// with every occupancy mutation and every fault/repair overlay change.
   FreeSpaceIndex index_;
   long occupied_tiles_ = 0;
   std::unordered_map<int, LiveInstance> live_;

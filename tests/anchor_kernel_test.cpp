@@ -5,26 +5,22 @@
 // for ALL anchors of a shape at once via erosion / dilation sweeps; the
 // contract is bit-identical agreement with the per-anchor covers_shifted /
 // intersects_shifted loops they replaced. This suite checks that contract
-// three ways: directly on random fabrics, through the NonOverlap
+// two ways: directly on random fabrics, and through the NonOverlap
 // propagator's batch delta pruning (random walks and full search vs the
-// per-anchor engine), and through the online placer's batch first-fit and
-// defrag ranking (identical traces with the flag on and off).
+// per-anchor engine). The online defrag ranking's use of the conflict
+// kernel is covered by online_defrag_fuzz_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "baseline/online.hpp"
 #include "cp/search.hpp"
 #include "cp_test_utils.hpp"
-#include "fpga/builders.hpp"
 #include "geost/anchor_kernel.hpp"
 #include "geost/nonoverlap.hpp"
 #include "geost/object.hpp"
-#include "model/generator.hpp"
 #include "util/rng.hpp"
 
 namespace rr::geost {
@@ -351,109 +347,3 @@ TEST(NonOverlapBatch, SearchFindsIdenticalSolutionSets) {
 
 }  // namespace
 }  // namespace rr::geost
-
-// --- Online placer: batch first-fit / defrag ranking vs per-anchor ----------
-
-namespace rr::baseline {
-namespace {
-
-using model::Module;
-using model::ModuleGenerator;
-
-struct TraceFixture {
-  std::shared_ptr<const fpga::Fabric> fabric;
-  std::shared_ptr<fpga::PartialRegion> region;
-  std::vector<Module> pool;
-};
-
-TraceFixture make_trace_fixture(std::uint64_t seed) {
-  TraceFixture f;
-  f.fabric =
-      std::make_shared<const fpga::Fabric>(fpga::make_homogeneous(20, 8));
-  f.region = std::make_shared<fpga::PartialRegion>(f.fabric);
-  f.region->block(Rect{9, 2, 2, 4});
-  model::GeneratorParams params;
-  params.clb_min = 4;
-  params.clb_max = 20;
-  params.bram_blocks_max = 0;
-  params.min_height = 1;
-  params.max_height = 6;
-  ModuleGenerator generator(params, seed);
-  f.pool = generator.generate_many(6);
-  return f;
-}
-
-void expect_same_placement(
-    const std::optional<placer::ModulePlacement>& a,
-    const std::optional<placer::ModulePlacement>& b, int step) {
-  ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
-  if (!a) return;
-  EXPECT_EQ(a->shape, b->shape) << "step " << step;
-  EXPECT_EQ(a->x, b->x) << "step " << step;
-  EXPECT_EQ(a->y, b->y) << "step " << step;
-}
-
-/// Drive the identical request trace through a batch-feasibility placer
-/// and a per-anchor placer; every placement decision, relocation, and the
-/// occupancy bitmap must match step by step.
-void run_identical_traces(OnlineOptions base, std::uint64_t seed, int steps) {
-  const TraceFixture f = make_trace_fixture(seed);
-  OnlineOptions batch = base, scalar = base;
-  batch.batch_feasibility = true;
-  scalar.batch_feasibility = false;
-  OnlinePlacer placer_batch(*f.region, batch);
-  OnlinePlacer placer_scalar(*f.region, scalar);
-
-  std::vector<int> live_ids;
-  Rng rng(seed * 7919 + 13);
-  int next_id = 0;
-  for (int step = 0; step < steps; ++step) {
-    if (live_ids.empty() || rng.chance(0.6)) {
-      const Module& module = f.pool[rng.pick_index(f.pool)];
-      const auto pa = placer_batch.place(next_id, module);
-      const auto pb = placer_scalar.place(next_id, module);
-      expect_same_placement(pa, pb, step);
-      if (pa) live_ids.push_back(next_id);
-      ++next_id;
-    } else {
-      const std::size_t pick = rng.pick_index(live_ids);
-      const int id = live_ids[pick];
-      placer_batch.remove(id);
-      placer_scalar.remove(id);
-      live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(pick));
-    }
-    // Relocations included: the full occupancy state must be identical.
-    ASSERT_EQ(placer_batch.occupied_matrix(), placer_scalar.occupied_matrix())
-        << "step " << step;
-    ASSERT_EQ(placer_batch.occupied_tiles(), placer_scalar.occupied_tiles());
-    const auto la = placer_batch.live_placements();
-    const auto lb = placer_scalar.live_placements();
-    ASSERT_EQ(la.size(), lb.size()) << "step " << step;
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      ASSERT_EQ(la[i].module, lb[i].module) << "step " << step;
-      ASSERT_EQ(la[i].shape, lb[i].shape) << "step " << step;
-      ASSERT_EQ(la[i].x, lb[i].x) << "step " << step;
-      ASSERT_EQ(la[i].y, lb[i].y) << "step " << step;
-    }
-  }
-}
-
-TEST(OnlinePlacerBatch, FirstFitTracesIdentical) {
-  for (const std::uint64_t seed : {1u, 2u, 3u})
-    run_identical_traces(OnlineOptions{}, seed, 200);
-}
-
-TEST(OnlinePlacerBatch, DefragTracesIdentical) {
-  // A generous deadline keeps the exact tier deterministic (it finishes
-  // well inside the budget in both runs), so the defrag plans — and hence
-  // the relocation commits — must coincide exactly.
-  OnlineOptions options;
-  options.defrag.deadline_seconds = 5.0;
-  for (const std::uint64_t seed : {11u, 12u}) {
-    options.defrag.seed = seed;
-    run_identical_traces(options, seed, 120);
-  }
-}
-
-}  // namespace
-}  // namespace rr::baseline

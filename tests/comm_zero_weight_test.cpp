@@ -193,52 +193,49 @@ TEST(ZeroWeightOracle, OnlineAdmissionAndDefragAreBitIdentical) {
   // Three arms over the identical trace: area-only first fit, commcost at
   // weight 0, and commcost whose nets all weigh 0. Defrag is live on all
   // three (small scale: every pass finishes far under the deadline).
-  for (const bool use_index : {true, false}) {
-    fpga::PartialRegion region_a(fabric);
-    fpga::PartialRegion region_b(fabric);
-    fpga::PartialRegion region_c(fabric);
-    baseline::OnlineOptions area_only;
-    area_only.policy = AnchorPolicy::kFirstFit;
-    area_only.free_space_index = use_index;
-    area_only.defrag.deadline_seconds = 0.5;
-    baseline::OnlineOptions zero_weight = area_only;
-    zero_weight.policy = AnchorPolicy::kCommCost;
-    zero_weight.nets = nets;
-    zero_weight.comm_weight = 0;
-    baseline::OnlineOptions dead = area_only;
-    dead.policy = AnchorPolicy::kCommCost;
-    dead.nets = dead_nets;
-    dead.comm_weight = 9;
-    baseline::OnlinePlacer a(region_a, area_only);
-    baseline::OnlinePlacer b(region_b, zero_weight);
-    baseline::OnlinePlacer c(region_c, dead);
-    Rng rng(0x0A11CEULL + (use_index ? 1 : 0));
-    std::vector<int> live;
-    int next_id = 0;
-    for (int step = 0; step < 160; ++step) {
-      if (live.empty() || rng.chance(0.6)) {
-        const std::size_t m = rng.bounded(library.size());
-        const int id = next_id++;
-        const auto pa = a.place(id, library[m]);
-        const auto pb = b.place(id, library[m]);
-        const auto pc = c.place(id, library[m]);
-        ASSERT_EQ(pa, pb) << "step " << step << " index " << use_index;
-        ASSERT_EQ(pa, pc) << "step " << step << " index " << use_index;
-        if (pa.has_value()) live.push_back(id);
-      } else {
-        const std::size_t pick = rng.bounded(live.size());
-        const int id = live[pick];
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-        a.remove(id);
-        b.remove(id);
-        c.remove(id);
-      }
-      ASSERT_EQ(a.live_placements(), b.live_placements()) << "step " << step;
-      ASSERT_EQ(a.live_placements(), c.live_placements()) << "step " << step;
+  fpga::PartialRegion region_a(fabric);
+  fpga::PartialRegion region_b(fabric);
+  fpga::PartialRegion region_c(fabric);
+  baseline::OnlineOptions area_only;
+  area_only.policy = AnchorPolicy::kFirstFit;
+  area_only.defrag.deadline_seconds = 0.5;
+  baseline::OnlineOptions zero_weight = area_only;
+  zero_weight.policy = AnchorPolicy::kCommCost;
+  zero_weight.nets = nets;
+  zero_weight.comm_weight = 0;
+  baseline::OnlineOptions dead = area_only;
+  dead.policy = AnchorPolicy::kCommCost;
+  dead.nets = dead_nets;
+  dead.comm_weight = 9;
+  baseline::OnlinePlacer a(region_a, area_only);
+  baseline::OnlinePlacer b(region_b, zero_weight);
+  baseline::OnlinePlacer c(region_c, dead);
+  Rng rng(0x0A11CEULL + 1);
+  std::vector<int> live;
+  int next_id = 0;
+  for (int step = 0; step < 160; ++step) {
+    if (live.empty() || rng.chance(0.6)) {
+      const std::size_t m = rng.bounded(library.size());
+      const int id = next_id++;
+      const auto pa = a.place(id, library[m]);
+      const auto pb = b.place(id, library[m]);
+      const auto pc = c.place(id, library[m]);
+      ASSERT_EQ(pa, pb) << "step " << step;
+      ASSERT_EQ(pa, pc) << "step " << step;
+      if (pa.has_value()) live.push_back(id);
+    } else {
+      const std::size_t pick = rng.bounded(live.size());
+      const int id = live[pick];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      a.remove(id);
+      b.remove(id);
+      c.remove(id);
     }
-    EXPECT_EQ(a.defrag_stats().attempts, b.defrag_stats().attempts);
-    EXPECT_EQ(a.defrag_stats().successes, b.defrag_stats().successes);
+    ASSERT_EQ(a.live_placements(), b.live_placements()) << "step " << step;
+    ASSERT_EQ(a.live_placements(), c.live_placements()) << "step " << step;
   }
+  EXPECT_EQ(a.defrag_stats().attempts, b.defrag_stats().attempts);
+  EXPECT_EQ(a.defrag_stats().successes, b.defrag_stats().successes);
 }
 
 TEST(ZeroWeightOracle, FaultRecoveryIsBitIdentical) {

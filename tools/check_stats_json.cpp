@@ -187,11 +187,9 @@ void check_bench_v1(const Value& doc) {
   } else if (bench == "service_load") {
     for (const char* key :
          {"requests", "throughput_rps", "throughput_rps_uncached",
-          "throughput_rps_sweep", "cache_speedup", "index_speedup",
-          "cache_hit_rate", "latency_p50_ms", "latency_p99_ms",
-          "latency_p99_ms_uncached", "latency_p99_ms_sweep",
+          "cache_speedup", "cache_hit_rate", "latency_p50_ms",
+          "latency_p99_ms", "latency_p99_ms_uncached",
           "latency_service_p99_ms", "latency_queue_p99_ms",
-          "latency_service_p99_ms_sweep", "service_p99_speedup",
           "batched_fraction", "mismatches"})
       check_result_metric(results, key);
   } else if (bench == "free_space") {

@@ -1,0 +1,14 @@
+# Runs COMMAND with the single argument ARG and requires exit status
+# EXPECT_EXIT and combined stdout/stderr matching the regex EXPECT_OUTPUT.
+# Usage: cmake -DCOMMAND=<exe> -DARG=<arg> -DEXPECT_EXIT=<n>
+#              -DEXPECT_OUTPUT=<regex> -P expect_exit.cmake
+execute_process(COMMAND ${COMMAND} ${ARG}
+                RESULT_VARIABLE status
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT status EQUAL EXPECT_EXIT)
+  message(FATAL_ERROR "expected exit ${EXPECT_EXIT}, got ${status}\n${out}${err}")
+endif()
+if(NOT "${out}${err}" MATCHES "${EXPECT_OUTPUT}")
+  message(FATAL_ERROR "output does not match '${EXPECT_OUTPUT}':\n${out}${err}")
+endif()

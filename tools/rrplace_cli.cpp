@@ -30,10 +30,6 @@
 //                             (firstfit | bestfit | bottomleft | commcost;
 //                             default firstfit); applies to --online-trace
 //                             and --serve-trace; commcost requires --nets
-//   --no-free-space-index     answer online admission with the occupancy-
-//                             bitmap sweep instead of the incremental
-//                             maximal-empty-rectangle index (the
-//                             differential oracle; decisions identical)
 //   --faults <path>           apply a fault trace's (.fft) resulting fault
 //                             map to the region before solving or replaying:
 //                             every placer refuses the faulty tiles
@@ -136,7 +132,6 @@ struct CliOptions {
   std::string online_trace_path;
   double defrag_seconds = 0.0;
   rr::AnchorPolicy online_policy = rr::AnchorPolicy::kFirstFit;
-  bool free_space_index = true;
   std::string faults_path;
   std::string fault_trace_path;
   double fault_deadline = 0.1;
@@ -167,7 +162,6 @@ struct CliOptions {
   bool serve_tuning_set = false;
   bool soak_tuning_set = false;
   bool online_policy_set = false;
-  bool free_space_index_set = false;
   bool comm_weight_set = false;
   bool bus_offset_set = false;
   bool bus_attach_set = false;
@@ -182,7 +176,7 @@ struct CliOptions {
       "  --svg PATH,\n"
       "  --stats-json PATH|-, --anchors MODULE,\n"
       "  --online-trace PATH, --defrag S,\n"
-      "  --online-policy firstfit|bestfit|bottomleft, --no-free-space-index,\n"
+      "  --online-policy firstfit|bestfit|bottomleft|commcost,\n"
       "  --faults PATH, --fault-trace PATH, --fault-deadline S,\n"
       "  --serve-trace PATH, --serve-workers N, --serve-queue N,\n"
       "  --no-serve-cache, --serve-cache-cap N,\n"
@@ -240,12 +234,10 @@ void check_conflicts(const CliOptions& options) {
              "use fault events in the trace)");
   if (options.defrag_set && !online && !soak)
     conflict("--defrag without --online-trace or --soak");
-  // The policy and index toggles steer the OnlinePlacer, which only runs
-  // inside the trace modes that host it.
+  // The policy steers the OnlinePlacer, which only runs inside the trace
+  // modes that host it.
   if (options.online_policy_set && !online && !serve && !soak)
     conflict("--online-policy without a trace replay mode");
-  if (options.free_space_index_set && !online && !serve && !soak)
-    conflict("--no-free-space-index without a trace replay mode");
   if (options.serve_tuning_set && !serve && !soak)
     conflict("--serve-workers/--serve-queue/--no-serve-cache/"
              "--serve-cache-cap without --serve-trace or --soak");
@@ -397,10 +389,6 @@ CliOptions parse_args(int argc, char** argv) {
       options.bus_attach = parse_number<int>(need_value(i), "--bus-attach", 0);
       options.bus_attach_set = true;
     }
-    else if (arg == "--no-free-space-index") {
-      options.free_space_index = false;
-      options.free_space_index_set = true;
-    }
     else if (arg == "--quiet") options.quiet = true;
     else if (arg == "--mode") {
       options.mode_set = true;
@@ -456,7 +444,6 @@ int run_online_trace(const CliOptions& cli,
   rr::baseline::OnlineOptions online;
   online.use_alternatives = cli.alternatives;
   online.policy = cli.online_policy;
-  online.free_space_index = cli.free_space_index;
   online.defrag.deadline_seconds = cli.defrag_seconds;
   online.defrag.seed = cli.seed;
   online.nets = nets;
@@ -564,7 +551,6 @@ int run_online_trace(const CliOptions& cli,
                rr::json::Value(cli.defrag_seconds));
     config.set("seed", rr::json::Value(cli.seed));
     config.set("policy", rr::json::Value(policy_name(cli.online_policy)));
-    config.set("free_space_index", rr::json::Value(cli.free_space_index));
     if (!cli.nets_path.empty())
       config.set("nets", rr::json::Value(cli.nets_path));
     // The search/space/result sections describe one offline solve; a trace
@@ -854,7 +840,6 @@ int run_serve_trace(const CliOptions& cli,
     config.library = modules;
     config.online.use_alternatives = cli.alternatives;
     config.online.policy = cli.online_policy;
-    config.online.free_space_index = cli.free_space_index;
     config.online.nets = nets;
     config.online.comm_weight = cli.comm_weight;
     configs.push_back(std::move(config));
@@ -966,7 +951,6 @@ int run_serve_trace(const CliOptions& cli,
     config.set("cache_capacity", rr::json::Value(static_cast<std::uint64_t>(
                                      cli.serve_cache_cap)));
     config.set("policy", rr::json::Value(policy_name(cli.online_policy)));
-    config.set("free_space_index", rr::json::Value(cli.free_space_index));
     // As with the online replay, the solve sections describe one offline
     // solve which a service replay doesn't have; the replay data lives in
     // the "service" section.
@@ -1048,7 +1032,6 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
     config.library = modules;
     config.online.use_alternatives = cli.alternatives;
     config.online.policy = cli.online_policy;
-    config.online.free_space_index = cli.free_space_index;
     config.online.defrag.deadline_seconds = cli.defrag_seconds;
     config.online.defrag.seed = cli.seed;
     config.online.nets = nets;
