@@ -2,65 +2,43 @@
 // placed and removed at run time in a nondeterministic order, and the
 // placer manages free space incrementally).
 //
-// OnlinePlacer keeps the occupancy state of a region and serves place() /
-// remove() requests: each request's anchor table is intersected with the
-// incrementally maintained maximal-empty-rectangle index of the free space
-// (geo/free_space), and the anchor policy (bottom-left first fit by
-// default) picks among the feasible anchors. It is the comparison point
-// for the paper's offline in-advance placement, and demonstrates how design
-// alternatives raise the request acceptance ratio (service level) under
-// fragmentation.
+// OnlinePlacer serves place() / remove() requests on a runtime::LiveLayout
+// of a region: each request's anchor table is intersected with the layout's
+// maximal-empty-rectangle index of the free space (geo/free_space), and the
+// anchor policy (bottom-left first fit by default) picks among the feasible
+// anchors. It is the comparison point for the paper's offline in-advance
+// placement, and demonstrates how design alternatives raise the request
+// acceptance ratio (service level) under fragmentation.
 //
 // When a defrag deadline is configured, a rejected request additionally
-// triggers an online defragmentation pass in the spirit of van der Veen et
-// al. ("Defragmenting the Module Layout of a Partially Reconfigurable
-// Device") and Fekete et al.'s no-break model: a bounded set of live
-// modules — chosen by a blocking-cell heuristic over the occupancy bitmap
-// — is re-placed together with the new request, and the result is
-// committed only if the request then fits. Degradation is graceful: an
-// exact CP re-place first, a greedy bottom-left shake when the deadline
-// expires mid-search, and finally a plain reject. Relocations are paid
-// for in the no-break copy model: a moved module costs its old footprint
-// (cleared) plus its new footprint (written), accounted as a
-// runtime::TransitionCost.
+// triggers the layout's relocation pipeline (runtime/live_layout.hpp): a
+// bounded set of live modules chosen by a blocking-cell ranking is
+// re-placed together with the new request — an exact CP re-place first, a
+// greedy shake under the configured policy when the deadline expires
+// mid-search — and the plan is committed only if the request then fits;
+// otherwise the request is rejected. This class keeps only the admission
+// policy around it: the retry-epoch and relocation-budget gates and the
+// defrag telemetry. Relocations are paid for in the no-break copy model: a
+// moved module costs its old footprint (cleared) plus its new footprint
+// (written), accounted as a runtime::TransitionCost.
 #pragma once
 
 #include <memory>
 #include <optional>
-#include <string_view>
-#include <unordered_map>
 
 #include "comm/net.hpp"
 #include "fpga/region.hpp"
 #include "geo/free_space.hpp"
 #include "model/module.hpp"
-#include "placer/model_builder.hpp"
 #include "placer/placement.hpp"
+#include "runtime/live_layout.hpp"
 #include "runtime/manager.hpp"
 
 namespace rr::baseline {
 
-/// Supplier of cached per-module placement tables, as produced by
-/// placer::prepare_tables over this placer's region and alternatives
-/// setting. When installed via OnlinePlacer::set_table_source, place() and
-/// the defrag shake tier skip the per-request anchor scan for any module
-/// the source covers; a nullptr lookup falls back to the scan. Cached and
-/// scanned tables are prepared by the same code path, so placements are
-/// bit-identical either way.
-///
-/// Staleness contract: the tables encode the region's availability masks at
-/// preparation time. After a fault or repair changes the masks the caller
-/// MUST drop or refresh the source before the next request, or placements
-/// may land on unavailable tiles (the occupancy bitmap alone cannot catch
-/// this). Occupancy changes — place/remove/defrag — do not invalidate.
-class ModuleTableSource {
- public:
-  virtual ~ModuleTableSource() = default;
-  /// Tables for `module`, or nullptr when not cached. The pointee must stay
-  /// valid until the source is replaced or the placer is destroyed.
-  [[nodiscard]] virtual const placer::ModuleTables* lookup(
-      const model::Module& module) = 0;
-};
+/// Supplier of cached per-module placement tables; see
+/// runtime::ModuleTableSource for the staleness contract.
+using runtime::ModuleTableSource;
 
 /// Tuning for the on-reject defragmentation pass. Defrag is off by default
 /// (deadline_seconds <= 0), in which case place() behaves exactly like the
@@ -147,7 +125,7 @@ class OnlinePlacer {
   /// tables (cache entries are keyed by ModuleTables address).
   void set_table_source(ModuleTableSource* source) noexcept {
     table_source_ = source;
-    query_cache_.clear();
+    layout_.clear_query_cache();
   }
 
   /// Re-sync with the region after its availability masks changed (fault or
@@ -155,34 +133,36 @@ class OnlinePlacer {
   /// bitmap and the anchor-query cache is dropped. Callers refreshing their
   /// ModuleTableSource after a fault (the staleness contract) must call this
   /// too, or index decisions diverge from the masks.
-  void refresh_region();
+  void refresh_region() { layout_.refresh_available(); }
 
   [[nodiscard]] bool is_placed(int instance_id) const noexcept {
-    return live_.contains(instance_id);
+    return layout_.contains(instance_id);
   }
-  [[nodiscard]] int live_count() const noexcept {
-    return static_cast<int>(live_.size());
-  }
+  [[nodiscard]] int live_count() const noexcept { return layout_.size(); }
   /// Tiles currently occupied by live instances.
-  [[nodiscard]] long occupied_tiles() const noexcept { return occupied_tiles_; }
+  [[nodiscard]] long occupied_tiles() const noexcept {
+    return layout_.occupied_tiles();
+  }
   /// Fraction of the region's available tiles currently occupied.
   [[nodiscard]] double occupancy() const noexcept;
 
   /// Current placement of every live instance (ModulePlacement::module is
   /// the instance id), sorted by id. The oracle view for cross-checking
   /// the incremental occupancy state.
-  [[nodiscard]] std::vector<placer::ModulePlacement> live_placements() const;
+  [[nodiscard]] std::vector<placer::ModulePlacement> live_placements() const {
+    return layout_.live_placements();
+  }
 
   /// The incremental occupancy bitmap (rows by y, columns by x).
   [[nodiscard]] const BitMatrix& occupied_matrix() const noexcept {
-    return occupied_;
+    return layout_.occupied();
   }
 
   /// The free-space index that answers every admission query; it mirrors
   /// occupied_matrix() against the region's union availability. Exposed for
   /// tests and benches.
   [[nodiscard]] const FreeSpaceIndex& free_space() const noexcept {
-    return index_;
+    return layout_.index();
   }
 
   [[nodiscard]] const OnlineDefragStats& defrag_stats() const noexcept {
@@ -200,96 +180,18 @@ class OnlinePlacer {
   }
 
  private:
-  struct LiveInstance {
-    model::Module module;  // owned copy: defrag re-places alternatives
-    int shape = 0;         // index into module.shapes()
-    int x = 0;
-    int y = 0;
-
-    [[nodiscard]] const geost::ShapeFootprint& footprint() const noexcept {
-      return module.shapes()[static_cast<std::size_t>(shape)];
-    }
-  };
-
-  /// One pending move of a committed defrag plan.
-  struct Move {
-    int instance_id = 0;
-    int shape = 0;
-    int x = 0;
-    int y = 0;
-  };
-
-  [[nodiscard]] std::vector<geost::ShapeFootprint> shapes_of(
-      const model::Module& module) const;
-
-  /// The anchor scan (prepare_tables' per-module body): fills `shapes` and
-  /// the sorted placement `table` for `module`. The fallback path when no
-  /// table source covers the module.
-  void build_tables(const model::Module& module,
-                    std::vector<geost::ShapeFootprint>& shapes,
-                    std::vector<geost::Placement>& table) const;
-
-  /// Per-shape inputs for FreeSpaceIndex::best_anchor, derived purely from
-  /// a table's contents (anchor bitmaps scattered from its entries, part
-  /// decompositions of its shapes) — never from occupancy, so cached data
-  /// stays valid for the lifetime of its ModuleTables object.
-  struct ShapeQueryData {
-    std::vector<BitMatrix> anchors;
-    std::vector<std::vector<Rect>> parts;
-  };
-
-  [[nodiscard]] ShapeQueryData build_query_data(
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table) const;
-
-  /// Policy-aware admission of `shapes`/`table` against `index` (the live
-  /// index, or a defrag shake's shadow copy). `cached` (may be null) keys
-  /// the query-data cache. `comm` (may be null) is the kCommCost ranking
-  /// context.
-  [[nodiscard]] std::optional<geost::Placement> index_fit(
-      const FreeSpaceIndex& index,
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table,
-      const placer::ModuleTables* cached,
-      const comm::PinContext* comm) const;
-
-  /// kCommCost ranking context for placing one instance of `name`: the
-  /// fixed pins of the live instances, minus `exclude_id` (the moving
-  /// instance must not attract itself during a defrag shake). Empty when
-  /// comm is off or no net can distinguish anchors for this module.
-  [[nodiscard]] comm::PinContext build_pin_context(std::string_view name,
-                                                   int exclude_id) const;
-
   /// The defrag pass (gates already passed). Commits and returns the new
   /// request's placement on success. `deadline_seconds` is the effective
   /// (possibly remaining-budget-clamped) wall budget for this pass.
   std::optional<placer::ModulePlacement> defrag_place(
       int instance_id, const model::Module& module,
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table,
-      const placer::ModuleTables* cached, double deadline_seconds);
-
-  /// Apply a defrag plan: relocate `moves` (entries whose placement is
-  /// unchanged are kept for free) and admit the new request.
-  placer::ModulePlacement commit_plan(int instance_id,
-                                      const model::Module& module,
-                                      const std::vector<Move>& moves,
-                                      const geost::Placement& request);
+      const runtime::LiveLayout::Tables& tables, double deadline_seconds);
 
   void note_defrag_failure(const model::Module& module);
 
-  const fpga::PartialRegion& region_;
   OnlineOptions options_;
   ModuleTableSource* table_source_ = nullptr;  // non-owning; may be null
-  BitMatrix occupied_;
-  long occupied_tiles_ = 0;
-  std::unordered_map<int, LiveInstance> live_;
-  /// Mirrors occupied_ against the region's union availability; updated at
-  /// every occupancy mutation.
-  FreeSpaceIndex index_;
-  /// Anchor bitmaps / parts per cached table, built on first index query.
-  mutable std::unordered_map<const placer::ModuleTables*, ShapeQueryData>
-      query_cache_;
+  runtime::LiveLayout layout_;
 
   OnlineDefragStats defrag_stats_{};
   runtime::TransitionCost relocation_cost_{};

@@ -11,13 +11,19 @@
 //            module's current bounding box and avoids the faulty tiles.
 //            Cheapest possible recovery: no other module is disturbed and
 //            the reconfiguration stays inside the old footprint.
-//   tier 1 — local re-place: first-fit of any alternative inside a window
-//            around the old position, then anywhere in the region.
-//   tier 2 — defrag-assisted relocation: relocate a bounded set of healthy
+//   tier 1 — local re-place: the best spot of any alternative inside a
+//            window around the old position, then anywhere in the region
+//            (first fit, or minimal communication cost when nets are set).
+//   tier 2 — defrag-assisted relocation: the live layout's relocation
+//            pipeline (runtime/live_layout.hpp, shared with the online
+//            placer's defragmenter) re-places a bounded set of healthy
 //            live modules together with the victim via the exact CP
-//            machinery (the online defragmenter's blocking-cell pass);
-//            degrades to a greedy bottom-left shake when the deadline cuts
-//            the search.
+//            machinery; it degrades to a greedy first-fit shake when the
+//            deadline cuts the search.
+//
+// The occupancy, the free-space index and the live instances are one
+// runtime::LiveLayout; this class keeps the recovery policy around it: the
+// fault overlay, the tier ladder, parking and backoff, and the telemetry.
 //
 // Degradation is graceful: a module that no tier can save is *parked* —
 // removed from the fabric, retried with exponential backoff over later
@@ -28,15 +34,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "comm/net.hpp"
 #include "fpga/faults.hpp"
 #include "fpga/region.hpp"
-#include "geo/free_space.hpp"
 #include "model/module.hpp"
 #include "placer/placement.hpp"
+#include "runtime/live_layout.hpp"
 #include "runtime/manager.hpp"
 
 namespace rr::runtime {
@@ -132,6 +139,9 @@ class FaultRecoveryManager {
   /// Takes its own copy of the region: the fault overlay mutates it.
   explicit FaultRecoveryManager(fpga::PartialRegion region,
                                 FaultRecoveryOptions options = {});
+  // The live layout references region_: not copyable or movable.
+  FaultRecoveryManager(const FaultRecoveryManager&) = delete;
+  FaultRecoveryManager& operator=(const FaultRecoveryManager&) = delete;
 
   /// Admit a live module at a placement (the initial configuration load).
   /// Throws InvalidInput when the id is already known, the shape index is
@@ -159,27 +169,27 @@ class FaultRecoveryManager {
     return recovery_cost_;
   }
 
-  [[nodiscard]] int live_count() const noexcept {
-    return static_cast<int>(live_.size());
-  }
+  [[nodiscard]] int live_count() const noexcept { return layout_.size(); }
   [[nodiscard]] int parked_count() const noexcept {
     return static_cast<int>(parked_.size());
   }
   [[nodiscard]] bool is_live(int instance_id) const noexcept {
-    return live_.contains(instance_id);
+    return layout_.contains(instance_id);
   }
   [[nodiscard]] bool is_parked(int instance_id) const noexcept {
     return parked_.contains(instance_id);
   }
   [[nodiscard]] long occupied_tiles() const noexcept {
-    return occupied_tiles_;
+    return layout_.occupied_tiles();
   }
   [[nodiscard]] const BitMatrix& occupied_matrix() const noexcept {
-    return occupied_;
+    return layout_.occupied();
   }
   /// Current placement of every live instance (ModulePlacement::module is
   /// the instance id), sorted by id.
-  [[nodiscard]] std::vector<placer::ModulePlacement> live_placements() const;
+  [[nodiscard]] std::vector<placer::ModulePlacement> live_placements() const {
+    return layout_.live_placements();
+  }
   /// The module an instance id was admitted with (live or parked).
   [[nodiscard]] const model::Module& module_of(int instance_id) const;
 
@@ -194,69 +204,31 @@ class FaultRecoveryManager {
   [[nodiscard]] double utilization() const;
 
  private:
-  struct LiveInstance {
-    model::Module module;  // owned copy: recovery re-places alternatives
-    int shape = 0;
-    int x = 0;
-    int y = 0;
-
-    [[nodiscard]] const geost::ShapeFootprint& footprint() const noexcept {
-      return module.shapes()[static_cast<std::size_t>(shape)];
-    }
-  };
   struct ParkedInstance {
     model::Module module;
     int retries = 0;
     int backoff_events = 0;
     std::uint64_t next_retry_event = 0;
   };
-  struct Spot {
-    int shape = 0;
-    int x = 0;
-    int y = 0;
-  };
 
-  [[nodiscard]] std::vector<geost::ShapeFootprint> shapes_of(
-      const model::Module& module) const;
   /// Resource compatibility against the (fault-aware) region masks plus
   /// occupancy vacancy.
   [[nodiscard]] bool placement_ok(const geost::ShapeFootprint& shape, int x,
                                   int y) const;
-  void write_instance(int instance_id, const model::Module& module,
-                      const Spot& spot);
 
   /// The escalation ladder. `old_spot` is null for parked retries (tier 0
   /// and the tier-1 window need a previous position). The caller must have
-  /// lifted the module out of occupancy and live_ already.
-  [[nodiscard]] ModuleRecovery recover_module(int instance_id,
-                                              const model::Module& module,
-                                              const Spot* old_spot,
-                                              const Deadline& deadline,
-                                              bool* deadline_cut);
-
-  [[nodiscard]] bool try_inplace_swap(
-      const std::vector<geost::ShapeFootprint>& shapes, const Rect& old_bbox,
-      Spot* out) const;
-  /// Spot search against `index` (the live index, or the greedy shake's
-  /// shadow copy): first fit, or — when `comm` is non-null and non-empty —
-  /// minimal communication cost with first-fit tie-breaking. `window`, when
-  /// given, bounds each candidate's bounding box.
-  [[nodiscard]] bool try_first_fit(
-      const FreeSpaceIndex& index,
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table, const Rect* window,
-      const comm::PinContext* comm, Spot* out) const;
-  /// Communication context of `module` against every live instance (the
-  /// victim is already lifted out of live_ by the recovery contract).
-  /// Empty when nets are absent, comm_weight <= 0, or no live net partner
-  /// pins the module anywhere.
-  [[nodiscard]] comm::PinContext pin_context_for(
-      const model::Module& module) const;
-  [[nodiscard]] bool try_defrag(
-      const model::Module& module,
-      const std::vector<geost::ShapeFootprint>& shapes,
-      const std::vector<geost::Placement>& table, const Deadline& deadline,
-      bool* deadline_cut, bool* used_greedy, Spot* out);
+  /// lifted the module out of the layout already.
+  [[nodiscard]] ModuleRecovery recover_module(
+      int instance_id, const model::Module& module,
+      const geost::Placement* old_spot, const Deadline& deadline,
+      bool* deadline_cut);
+  /// Tier 0: the first alternative (shape order, then bottom-left) that
+  /// fits inside `old_bbox` on healthy, vacant tiles.
+  [[nodiscard]] std::optional<geost::Placement> inplace_swap(
+      const model::Module& module, const Rect& old_bbox) const;
+  /// Count a recovery by its tier, in stats_ and in the metrics.
+  void tally_tier(RecoveryTier tier);
 
   void park(int instance_id, model::Module module);
   void retry_parked(const Deadline& deadline, FaultEventOutcome* outcome,
@@ -266,12 +238,9 @@ class FaultRecoveryManager {
   fpga::FaultMap faults_;
   FaultRecoveryOptions options_;
   long initial_available_ = 0;
-  BitMatrix occupied_;
-  /// Mirrors occupied_ against the fault-aware union availability; synced
-  /// with every occupancy mutation and every fault/repair overlay change.
-  FreeSpaceIndex index_;
-  long occupied_tiles_ = 0;
-  std::unordered_map<int, LiveInstance> live_;
+  /// Occupancy, free-space index and live instances over region_; the index
+  /// is re-synced with every fault/repair overlay change.
+  LiveLayout layout_;
   std::unordered_map<int, ParkedInstance> parked_;
   std::uint64_t event_no_ = 0;
   FaultRecoveryStats stats_{};

@@ -17,6 +17,7 @@
 #include "model/generator.hpp"
 #include "placer/placer.hpp"
 #include "runtime/recovery.hpp"
+#include "util/metrics.hpp"
 
 namespace rr {
 namespace {
@@ -420,7 +421,11 @@ TEST(FaultRecovery, DefragRelocatesABystanderToMakeRoom) {
 TEST(FaultRecovery, ParkedModuleIsRevivedAfterRepair) {
   // The region has room for exactly one 2x2 module; a transient fault
   // evicts it with nowhere to go, so it parks. After the repair its backoff
-  // has elapsed and the retry pass brings it back.
+  // has elapsed and the retry pass brings it back. The revival's tier is
+  // counted in the stats and mirrored into the metrics alike.
+  const bool metrics_were_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::global().reset();
   const auto region = clb_region(2, 2);
   const Module module("m", {rect_shape(2, 2)});
   auto options = test_recovery_options();
@@ -449,6 +454,15 @@ TEST(FaultRecovery, ParkedModuleIsRevivedAfterRepair) {
   EXPECT_EQ(manager.stats().retry_recoveries, 1u);
   ASSERT_EQ(revived.modules.size(), 1u);
   EXPECT_TRUE(revived.modules[0].from_parked);
+  EXPECT_EQ(revived.modules[0].tier, runtime::RecoveryTier::kLocalReplace);
+  EXPECT_EQ(manager.stats().local_replaces, 1u);
+#ifndef RRPLACE_DISABLE_METRICS
+  EXPECT_EQ(metrics::global().counter("runtime.fault.local_replaces"),
+            manager.stats().local_replaces);
+  EXPECT_EQ(metrics::global().counter("runtime.fault.retry_recoveries"),
+            manager.stats().retry_recoveries);
+#endif
+  metrics::set_enabled(metrics_were_enabled);
 }
 
 TEST(FaultRecovery, DegradesGracefullyWhenCapacityIsGone) {
