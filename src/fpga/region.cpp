@@ -29,7 +29,9 @@ void PartialRegion::block_mask(const BitMatrix& mask) {
   RR_REQUIRE(mask.rows() == window_.height && mask.cols() == window_.width,
              "block_mask needs a region-shaped bitmap");
   blocked_.or_with(mask);
-  rebuild_masks();
+  // Blocking only ever removes cells, so AND-NOT every resource mask
+  // instead of re-deriving them tile by tile.
+  for (BitMatrix& resource : masks_) resource.clear_shifted(mask, 0, 0);
 }
 
 void PartialRegion::apply_faults(const FaultMap& faults) {

@@ -25,10 +25,7 @@ int area_lower_bound(const fpga::PartialRegion& region,
                      std::span<const ModuleTables> tables) {
   long total_min_area = 0;
   for (const ModuleTables& entry : tables) total_min_area += entry.min_area;
-  for (int c = 1; c <= region.width(); ++c) {
-    if (region.available_in_columns(c) >= total_min_area) return c;
-  }
-  return region.width() + 1;
+  return min_extent_columns(region, total_min_area);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <climits>
 
 #include "util/log.hpp"
@@ -109,6 +110,36 @@ void post_comm_objective(cp::Space& space, const fpga::PartialRegion& region,
 
 }  // namespace
 
+ModuleTables prepare_module_tables(const fpga::PartialRegion& region,
+                                   const model::Module& module,
+                                   bool use_alternatives) {
+  ModuleTables entry;
+  auto shapes = std::make_shared<std::vector<geost::ShapeFootprint>>();
+  if (use_alternatives) {
+    *shapes = module.shapes();
+  } else {
+    shapes->push_back(module.shapes().front());
+  }
+  // Valid anchors per shape: constraints (2) + (3) folded into the domain.
+  std::vector<std::vector<Point>> anchors;
+  anchors.reserve(shapes->size());
+  for (const geost::ShapeFootprint& shape : *shapes)
+    anchors.push_back(geost::compute_valid_anchors(region.masks(), shape));
+  entry.table = geost::sorted_placement_table(*shapes, anchors);
+  entry.extents.reserve(entry.table.size());
+  for (const geost::Placement& p : entry.table) {
+    const Rect box =
+        (*shapes)[static_cast<std::size_t>(p.shape)].bounding_box();
+    entry.extents.push_back(p.x + box.width);
+  }
+  int min_area = shapes->front().area();
+  for (const geost::ShapeFootprint& shape : *shapes)
+    min_area = std::min(min_area, shape.area());
+  entry.min_area = min_area;
+  entry.shapes = std::move(shapes);
+  return entry;
+}
+
 std::vector<ModuleTables> prepare_tables(
     const fpga::PartialRegion& region,
     std::span<const model::Module> modules, bool use_alternatives) {
@@ -116,40 +147,57 @@ std::vector<ModuleTables> prepare_tables(
   std::vector<ModuleTables> tables;
   tables.reserve(modules.size());
   for (const model::Module& module : modules) {
-    ModuleTables entry;
-    auto shapes = std::make_shared<std::vector<geost::ShapeFootprint>>();
-    if (use_alternatives) {
-      *shapes = module.shapes();
-    } else {
-      shapes->push_back(module.shapes().front());
-    }
-    // Valid anchors per shape: constraints (2) + (3) folded into the domain.
-    std::vector<std::vector<Point>> anchors;
-    anchors.reserve(shapes->size());
-    std::size_t total_anchors = 0;
-    for (const geost::ShapeFootprint& shape : *shapes) {
-      anchors.push_back(geost::compute_valid_anchors(region.masks(), shape));
-      total_anchors += anchors.back().size();
-    }
-    if (total_anchors == 0) {
+    tables.push_back(prepare_module_tables(region, module, use_alternatives));
+    if (tables.back().table.empty()) {
       RR_WARN("module " << module.name()
                         << " has no valid placement on this region");
     }
-    entry.table = geost::sorted_placement_table(*shapes, anchors);
-    entry.extents.reserve(entry.table.size());
-    for (const geost::Placement& p : entry.table) {
-      const Rect box =
-          (*shapes)[static_cast<std::size_t>(p.shape)].bounding_box();
-      entry.extents.push_back(p.x + box.width);
-    }
-    int min_area = shapes->front().area();
-    for (const geost::ShapeFootprint& shape : *shapes)
-      min_area = std::min(min_area, shape.area());
-    entry.min_area = min_area;
-    entry.shapes = std::move(shapes);
-    tables.push_back(std::move(entry));
   }
   return tables;
+}
+
+ModuleTables filter_tables(const ModuleTables& tables,
+                           const BitMatrix& blocked) {
+  ModuleTables out;
+  out.shapes = tables.shapes;
+  out.min_area = tables.min_area;
+  for (std::size_t i = 0; i < tables.table.size(); ++i) {
+    const geost::Placement& p = tables.table[i];
+    const BitMatrix& mask =
+        (*tables.shapes)[static_cast<std::size_t>(p.shape)].mask();
+    if (blocked.intersects_shifted(mask, p.y, p.x)) continue;
+    out.table.push_back(p);
+    out.extents.push_back(tables.extents[i]);
+  }
+  return out;
+}
+
+int min_extent_columns(const fpga::PartialRegion& region, long area) {
+  // Per-column counts of the union availability: the resource masks
+  // partition the available tiles, so OR them row by row.
+  const int width = region.width();
+  std::vector<long> per_column(static_cast<std::size_t>(width), 0);
+  const std::vector<BitMatrix>& masks = region.masks();
+  std::vector<std::uint64_t> row;
+  for (int y = 0; y < region.height(); ++y) {
+    row.assign(masks.front().words_per_row(), 0);
+    for (const BitMatrix& mask : masks) {
+      const auto words = mask.row_span(y);
+      for (std::size_t w = 0; w < row.size(); ++w) row[w] |= words[w];
+    }
+    for (std::size_t w = 0; w < row.size(); ++w) {
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        ++per_column[w * 64 + bit];
+      }
+    }
+  }
+  long total = 0;
+  for (int c = 1; c <= width; ++c) {
+    total += per_column[static_cast<std::size_t>(c - 1)];
+    if (total >= area) return c;
+  }
+  return width + 1;
 }
 
 TablesHandle prepare_tables_shared(const fpga::PartialRegion& region,
@@ -213,14 +261,8 @@ BuiltModel build_model_from_tables(const fpga::PartialRegion& region,
 
   if (options.area_bound) {
     // The spanned columns must offer at least the modules' total minimum
-    // area. available_in_columns is monotone in c, so scan for the bound.
-    int bound = region.width() + 1;
-    for (int c = 1; c <= region.width(); ++c) {
-      if (region.available_in_columns(c) >= total_min_area) {
-        bound = c;
-        break;
-      }
-    }
+    // area.
+    const int bound = min_extent_columns(region, total_min_area);
     if (bound > region.width()) {
       RR_WARN("total module area exceeds region capacity");
       space.fail();

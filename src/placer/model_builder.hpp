@@ -72,6 +72,29 @@ struct ModuleTables {
     const fpga::PartialRegion& region,
     std::span<const model::Module> modules, bool use_alternatives);
 
+/// One module's tables — prepare_tables' per-module body (the anchor scan),
+/// without its "no valid placement" warning.
+[[nodiscard]] ModuleTables prepare_module_tables(
+    const fpga::PartialRegion& region, const model::Module& module,
+    bool use_alternatives);
+
+/// `tables` with every entry whose shape overlaps a set cell of `blocked`
+/// (region-shaped, rows by y) dropped, in the same order. The shape list is
+/// shared and min_area carries over. Filter identity: if `tables` were
+/// prepared on a region R, the result equals prepare_module_tables on R
+/// with `blocked` additionally blocked (or faulty) — the sort key (x + w,
+/// x, y, shape) does not depend on availability, and a shape anchored
+/// validly on R stays valid exactly when it avoids the new cells.
+[[nodiscard]] ModuleTables filter_tables(const ModuleTables& tables,
+                                         const BitMatrix& blocked);
+
+/// Smallest column count c such that the region's available tiles with
+/// x < c number at least `area` (width() + 1 when even the whole region
+/// falls short) — the extent lower bound of an instance whose modules
+/// need `area` tiles in total. One pass over per-column availability.
+[[nodiscard]] int min_extent_columns(const fpga::PartialRegion& region,
+                                     long area);
+
 /// Shared immutable tables: one prepare, many builds. The handle is safe to
 /// reference from several threads at once (the tables are never mutated
 /// after construction) — portfolio workers, repeated solves, and the

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-#include "geost/anchor_kernel.hpp"
-#include "geost/object.hpp"
 #include "placer/brancher.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace rr::runtime {
 
@@ -72,15 +71,17 @@ LiveLayout::Tables LiveLayout::tables_of(const model::Module& module,
                                          ModuleTableSource* source) const {
   Tables tables;
   if (source != nullptr) tables.cached_ = source->lookup(module);
-  if (tables.cached_ != nullptr) return tables;
-  // The anchor scan (prepare_tables' per-module body).
-  tables.shapes_ = shapes_of(module);
-  std::vector<std::vector<Point>> anchors;
-  anchors.reserve(tables.shapes_.size());
-  for (const geost::ShapeFootprint& shape : tables.shapes_)
-    anchors.push_back(geost::compute_valid_anchors(region_->masks(), shape));
-  tables.table_ = geost::sorted_placement_table(tables.shapes_, anchors);
+  if (tables.cached_ == nullptr)
+    tables.owned_ =
+        placer::prepare_module_tables(*region_, module, use_alternatives_);
   return tables;
+}
+
+const LiveLayout::Tables& LiveLayout::lifted_tables(
+    int id, ModuleTableSource* source, LiftedTables& memo) const {
+  const auto [it, inserted] = memo.try_emplace(id);
+  if (inserted) it->second = tables_of(live_.at(id).module, source);
+  return it->second;
 }
 
 comm::PinContext LiveLayout::pin_context(std::string_view name,
@@ -158,39 +159,28 @@ std::vector<std::vector<int>> LiveLayout::relocation_candidates(
   const std::vector<geost::ShapeFootprint>& shapes = request.shapes();
   const std::vector<geost::Placement>& table = request.table();
   const std::vector<placer::ModulePlacement> live = live_placements();
-  const int rows = region_->height();
-  const int cols = region_->width();
-  BitMatrix scratch(rows, cols);
+  BitMatrix scratch(region_->height(), region_->width());
   const int scan_limit =
       std::min<int>(max_anchor_scan, static_cast<int>(table.size()));
-  // One conflict bitmap per (live instance, request shape) pair, built
-  // lazily — conflict(y, x) answers "would the request overlap this
-  // instance at anchor (x, y)" for the whole scan at once, so the
-  // per-anchor overlap popcount is paid only for actual blockers.
-  std::vector<BitMatrix> conflicts(live.size() * shapes.size());
-  std::vector<unsigned char> built(conflicts.size(), 0);
-  BitMatrix instance_scratch(rows, cols);
+  // Bounding boxes reject most (anchor, instance) pairs; the exact overlap
+  // popcount runs only where the boxes meet.
+  std::vector<Rect> boxes;
+  boxes.reserve(live.size());
+  for (const placer::ModulePlacement& p : live) {
+    const Rect box = live_.at(p.module).footprint().bounding_box();
+    boxes.push_back(box.translated(Point{p.x, p.y}));
+  }
   for (int t = 0; t < scan_limit; ++t) {
     if ((t & 31) == 0 && deadline.expired()) break;
     const geost::Placement& p = table[static_cast<std::size_t>(t)];
     const geost::ShapeFootprint& shape =
         shapes[static_cast<std::size_t>(p.shape)];
+    const Rect box = shape.bounding_box().translated(Point{p.x, p.y});
     Candidate candidate;
     bool have_scratch = false;
     for (std::size_t i = 0; i < live.size(); ++i) {
+      if (!box.intersects(boxes[i])) continue;
       const Instance& instance = live_.at(live[i].module);
-      const std::size_t key =
-          i * shapes.size() + static_cast<std::size_t>(p.shape);
-      if (!built[key]) {
-        conflicts[key] = BitMatrix(rows, cols);
-        instance_scratch.clear();
-        instance_scratch.or_shifted(instance.footprint().mask(), instance.y,
-                                    instance.x);
-        geost::accumulate_conflicts(conflicts[key], instance_scratch,
-                                    shape.mask(), 0, rows);
-        built[key] = 1;
-      }
-      if (!conflicts[key].get(p.y, p.x)) continue;
       if (!have_scratch) {
         scratch.clear();
         scratch.or_shifted(shape.mask(), p.y, p.x);
@@ -224,29 +214,58 @@ std::vector<std::vector<int>> LiveLayout::relocation_candidates(
 }
 
 std::optional<LiveLayout::Plan> LiveLayout::exact_replace(
-    const std::vector<int>& set, const model::Module& request,
-    std::uint64_t seed, const Deadline& deadline, bool* deadline_cut) const {
-  // The sub-problem region: everything occupied except the relocation set.
-  fpga::PartialRegion sub_region = *region_;
+    const std::vector<int>& set, const Tables& request,
+    ModuleTableSource* source, LiftedTables& memo, std::uint64_t seed,
+    const Deadline& deadline, bool* deadline_cut, bool* refuted) const {
+  *refuted = false;
+  // Everything occupied except the relocation set stays put.
   BitMatrix others = occupied_;
   for (const int id : set) {
     const Instance& instance = live_.at(id);
     others.clear_shifted(instance.footprint().mask(), instance.y, instance.x);
   }
-  sub_region.block_mask(others);
 
-  std::vector<model::Module> sub_modules;
-  sub_modules.reserve(set.size() + 1);
-  for (const int id : set) sub_modules.push_back(live_.at(id).module);
-  sub_modules.push_back(request);
+  // Sub-problem tables: the set (in set order), then the request — each a
+  // filtered view of its current-fabric table. A module left without a
+  // spot, or a set needing more tiles than the sub-region offers (counted
+  // as the model's area bound counts them), is refuted here: the model
+  // build would mark it infeasible.
+  std::vector<placer::ModuleTables> sub_tables;
+  sub_tables.reserve(set.size() + 1);
+  long total_min_area = 0;
+  {
+    metrics::ScopedTimer timer("layout.relocate.tables");
+    const auto add = [&](const Tables& tables) {
+      sub_tables.push_back(
+          placer::filter_tables(tables.module_tables(), others));
+      total_min_area += sub_tables.back().min_area;
+      *refuted = sub_tables.back().table.empty();
+    };
+    for (std::size_t i = 0; i <= set.size() && !*refuted; ++i)
+      add(i < set.size() ? lifted_tables(set[i], source, memo) : request);
+  }
+  if (!*refuted) {
+    // The index mirrors the region's union availability.
+    const BitMatrix& available = index_.available_matrix();
+    const auto sub_available =
+        static_cast<long>(available.popcount()) -
+        static_cast<long>(available.overlap_popcount_shifted(others, 0, 0));
+    *refuted = total_min_area > sub_available;
+  }
+  if (*refuted) return std::nullopt;
 
-  const auto sub_tables =
-      placer::prepare_tables(sub_region, sub_modules, use_alternatives_);
-  placer::BuildOptions build_options;
-  build_options.use_alternatives = use_alternatives_;
-  placer::BuiltModel model =
-      placer::build_model_from_tables(sub_region, sub_tables, build_options);
+  // The sub-region still backs the model's area bound.
+  const placer::BuiltModel model = [&] {
+    metrics::ScopedTimer timer("layout.relocate.build");
+    fpga::PartialRegion sub_region = *region_;
+    sub_region.block_mask(others);
+    placer::BuildOptions build_options;
+    build_options.use_alternatives = use_alternatives_;
+    return placer::build_model_from_tables(sub_region, sub_tables,
+                                           build_options);
+  }();
   if (model.infeasible) return std::nullopt;
+  metrics::ScopedTimer timer("layout.relocate.search");
   const auto brancher = placer::make_placement_brancher(
       model, placer::SearchStrategy::kAreaOrderBottomLeft, seed);
   cp::Search::Options search_options;
@@ -314,24 +333,37 @@ std::optional<LiveLayout::Plan> LiveLayout::greedy_shake(
 LiveLayout::Relocation LiveLayout::relocate(
     int request_id, const model::Module& module, const Tables& request,
     const RelocationLimits& limits, const Deadline& deadline,
-    AnchorPolicy shake_policy, ModuleTableSource* shake_source) const {
+    AnchorPolicy shake_policy, ModuleTableSource* source) const {
   Relocation result;
   if (request.table().empty() || live_.empty()) return result;
-  const std::vector<std::vector<int>> sets = relocation_candidates(
-      request, limits.max_relocations, limits.max_anchor_scan, deadline);
+  std::vector<std::vector<int>> sets;
+  {
+    metrics::ScopedTimer timer("layout.relocate.candidates");
+    sets = relocation_candidates(request, limits.max_relocations,
+                                 limits.max_anchor_scan, deadline);
+  }
+  LiftedTables memo;
+  std::uint64_t tried = 0;
+  std::uint64_t refuted = 0;
   for (const std::vector<int>& set : sets) {
     if (deadline.expired()) {
       result.deadline_cut = true;
       break;
     }
-    result.plan =
-        exact_replace(set, module, limits.seed, deadline, &result.deadline_cut);
+    bool cheap = false;
+    ++tried;
+    result.plan = exact_replace(set, request, source, memo, limits.seed,
+                                deadline, &result.deadline_cut, &cheap);
+    refuted += cheap ? 1 : 0;
     if (result.plan.has_value() || result.deadline_cut) break;
-    // A completed search refuted this set; try the next one.
+    // A completed search (or a cheap refutation) ruled this set out; try
+    // the next one.
   }
+  RR_METRIC_ADD("layout.relocate.sets_tried", tried);
+  RR_METRIC_ADD("layout.relocate.sets_refuted", refuted);
   if (!result.plan.has_value() && result.deadline_cut) {
     result.plan = greedy_shake(sets.front(), request_id, module, request,
-                               shake_policy, shake_source);
+                               shake_policy, source);
     result.greedy = result.plan.has_value();
   }
   return result;

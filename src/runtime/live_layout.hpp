@@ -44,15 +44,19 @@ namespace rr::runtime {
 /// Supplier of cached per-module placement tables, as produced by
 /// placer::prepare_tables over the layout's region and alternatives
 /// setting. Where a source covers a module, placement queries skip the
-/// per-request anchor scan; a nullptr lookup falls back to the scan. Cached
-/// and scanned tables are prepared by the same code path, so placements are
-/// bit-identical either way.
+/// per-request anchor scan and the relocation pipeline derives every
+/// sub-problem table from the source's table by filtering
+/// (placer::filter_tables); a nullptr lookup falls back to the scan.
+/// Cached and scanned tables are prepared by the same code path, so
+/// placements are bit-identical either way.
 ///
 /// Staleness contract: the tables encode the region's availability masks at
 /// preparation time. After a fault or repair changes the masks the caller
 /// MUST drop or refresh the source before the next request, or placements
-/// may land on unavailable tiles (the occupancy bitmap alone cannot catch
-/// this). Occupancy changes — place/remove/defrag — do not invalidate.
+/// and relocation plans may land on unavailable tiles (the occupancy bitmap
+/// alone cannot catch this). A refreshed source may itself be derived by
+/// filtering the fault-free tables with the fault mask. Occupancy changes —
+/// place/remove/defrag — do not invalidate.
 class ModuleTableSource {
  public:
   virtual ~ModuleTableSource() = default;
@@ -104,18 +108,22 @@ class LiveLayout {
     bool deadline_cut = false;  // the deadline stopped the exact tier
   };
 
-  /// A module's candidate shapes (every alternative, or the base layout
-  /// only) and its bottom-left-sorted anchor table: borrowed from a table
-  /// source when it covers the module, else scanned from the region masks.
+  /// A module's placement tables on the current fabric — its candidate
+  /// shapes (every alternative, or the base layout only) and bottom-left-
+  /// sorted anchor table: borrowed from a table source when it covers the
+  /// module, else scanned from the region masks and owned.
   class Tables {
    public:
+    [[nodiscard]] const placer::ModuleTables& module_tables() const noexcept {
+      return cached_ != nullptr ? *cached_ : owned_;
+    }
     [[nodiscard]] const std::vector<geost::ShapeFootprint>& shapes()
         const noexcept {
-      return cached_ != nullptr ? *cached_->shapes : shapes_;
+      return *module_tables().shapes;
     }
     [[nodiscard]] const std::vector<geost::Placement>& table()
         const noexcept {
-      return cached_ != nullptr ? cached_->table : table_;
+      return module_tables().table;
     }
     /// The source's tables (the query-cache key), or null when scanned.
     [[nodiscard]] const placer::ModuleTables* cached() const noexcept {
@@ -125,8 +133,7 @@ class LiveLayout {
    private:
     friend class LiveLayout;
     const placer::ModuleTables* cached_ = nullptr;
-    std::vector<geost::ShapeFootprint> shapes_;
-    std::vector<geost::Placement> table_;
+    placer::ModuleTables owned_;
   };
 
   /// The region must outlive the layout (and keep its address). `nets` and
@@ -219,15 +226,16 @@ class LiveLayout {
   /// try the exact tier on each until one admits the request, a completed
   /// search refutes them all, or the deadline expires; after a deadline
   /// cut, shake the cheapest set (after a refutation of every set it would
-  /// be pointless: the shake explores a subset of that space). Commits
-  /// nothing.
+  /// be pointless: the shake explores a subset of that space). Both tiers
+  /// take the lifted instances' tables from `source` (may be null: each is
+  /// scanned once per call). Commits nothing.
   [[nodiscard]] Relocation relocate(int request_id,
                                     const model::Module& module,
                                     const Tables& request,
                                     const RelocationLimits& limits,
                                     const Deadline& deadline,
                                     AnchorPolicy shake_policy,
-                                    ModuleTableSource* shake_source) const;
+                                    ModuleTableSource* source) const;
   /// Apply a plan's moves in two passes (every old footprint is lifted
   /// before any new one is written: a move may cover another's old spot).
   /// The request is not inserted. Returns the relocations' cost in the
@@ -236,13 +244,24 @@ class LiveLayout {
   TransitionCost commit(const Plan& plan);
 
  private:
-  /// Exact re-place of the live instances `set` together with `request` via
-  /// the CP machinery (satisfaction search, area-ordered bottom-left
-  /// descent) on the region with every other live footprint blocked. Sets
-  /// `*deadline_cut` when the deadline, not exhaustion, ended the search.
+  /// The current-fabric tables of the instances one relocate() call lifts,
+  /// resolved at most once per instance for the whole call.
+  using LiftedTables = std::unordered_map<int, Tables>;
+  [[nodiscard]] const Tables& lifted_tables(int id, ModuleTableSource* source,
+                                            LiftedTables& memo) const;
+
+  /// Exact re-place of the live instances `set` together with the request
+  /// via the CP machinery (satisfaction search, area-ordered bottom-left
+  /// descent) on the region with every other live footprint blocked. The
+  /// sub-problem tables are the current-fabric tables filtered by those
+  /// footprints (placer::filter_tables); a set whose filtered tables or
+  /// total area already rule it out is refuted before any model is built.
+  /// Sets `*deadline_cut` when the deadline, not exhaustion, ended the
+  /// search, and `*refuted` when the cheap check alone ruled the set out.
   [[nodiscard]] std::optional<Plan> exact_replace(
-      const std::vector<int>& set, const model::Module& request,
-      std::uint64_t seed, const Deadline& deadline, bool* deadline_cut) const;
+      const std::vector<int>& set, const Tables& request,
+      ModuleTableSource* source, LiftedTables& memo, std::uint64_t seed,
+      const Deadline& deadline, bool* deadline_cut, bool* refuted) const;
 
   /// Per-shape inputs for FreeSpaceIndex::best_anchor, derived purely from
   /// a table's contents (anchor bitmaps scattered from its entries, part

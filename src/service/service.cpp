@@ -46,7 +46,11 @@ Tenant::Tenant(Config config)
 
 void Tenant::refresh_context() {
   if (cache_ == nullptr) return;  // uncached: the placer scans per request
-  context_ = cache_->acquire(region_, library_, online_.use_alternatives);
+  // The first context is acquired before any fault; later ones derive from
+  // it on a miss (filtered by the fault overlay, no library rescan).
+  context_ = cache_->acquire(region_, library_, online_.use_alternatives,
+                             fault_free_context_.get());
+  if (fault_free_context_ == nullptr) fault_free_context_ = context_;
   placer_.set_table_source(context_.get());
 }
 

@@ -206,6 +206,8 @@ class Tenant {
   const Clock* clock_;
   baseline::OnlineOptions online_;
   std::shared_ptr<SolveContext> context_;
+  /// The context of the healthy fabric, which faulted contexts derive from.
+  std::shared_ptr<SolveContext> fault_free_context_;
   std::unordered_map<int, int> instance_module_;  // instance id → library idx
   std::uint64_t fabric_epoch_ = 0;
 };

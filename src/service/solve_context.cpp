@@ -75,6 +75,16 @@ SolveContext::SolveContext(SolveContextKey key,
   }
 }
 
+SolveContext::SolveContext(SolveContextKey key, const SolveContext& base,
+                           const BitMatrix& blocked)
+    : key_(key), index_(base.index_) {
+  auto tables = std::make_shared<std::vector<placer::ModuleTables>>();
+  tables->reserve(base.tables_->size());
+  for (const placer::ModuleTables& entry : *base.tables_)
+    tables->push_back(placer::filter_tables(entry, blocked));
+  tables_ = std::move(tables);
+}
+
 const placer::ModuleTables* SolveContext::lookup(const model::Module& module) {
   const auto it = index_.find(module.name());
   if (it == index_.end()) return nullptr;
@@ -83,7 +93,7 @@ const placer::ModuleTables* SolveContext::lookup(const model::Module& module) {
 
 std::shared_ptr<SolveContext> SolveContextCache::acquire(
     const fpga::PartialRegion& region, std::span<const model::Module> library,
-    bool use_alternatives) {
+    bool use_alternatives, const SolveContext* fault_free) {
   const SolveContextKey key{fabric_signature(region),
                             library_signature(library), use_alternatives};
   if (enabled_) {
@@ -99,7 +109,15 @@ std::shared_ptr<SolveContext> SolveContextCache::acquire(
   // Build outside the lock: table preparation is the expensive part, and
   // two workers racing to build the same context is rarer (and cheaper)
   // than serializing every build behind one mutex.
-  auto context = std::make_shared<SolveContext>(key, region, library);
+  const BitMatrix& faults = region.fault_mask();
+  const bool derive = fault_free != nullptr &&
+                      fault_free->key().library == key.library &&
+                      fault_free->key().use_alternatives == use_alternatives;
+  std::shared_ptr<SolveContext> context;
+  if (derive)
+    context = std::make_shared<SolveContext>(key, *fault_free, faults);
+  else
+    context = std::make_shared<SolveContext>(key, region, library);
   if (!enabled_) return context;
   const std::scoped_lock lock(mutex_);
   const auto [it, inserted] = entries_.emplace(key, Entry{context, ++tick_});

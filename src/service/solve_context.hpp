@@ -14,11 +14,13 @@
 // Invalidation: signatures are content hashes over the availability masks
 // and shape layouts, so any fault or repair changes the fabric signature
 // and a re-acquire naturally builds (or finds) the right context — a stale
-// context cannot be returned for a changed fabric. Memory is bounded by an
-// LRU cap: when an insert would exceed the capacity, the least-recently-
-// acquired entry is evicted, so fabric states nobody runs anymore age out
-// while hot shared entries (healthy-fabric tables several tenants run on)
-// survive any one tenant's fault churn. Occupancy changes
+// context cannot be returned for a changed fabric. A faulted fabric's
+// context is derived from the fault-free one by filtering its tables with
+// the fault mask (placer::filter_tables), never by rescanning. Memory is
+// bounded by an LRU cap: when an insert would exceed the capacity, the
+// least-recently-acquired entry is evicted, so fabric states nobody runs
+// anymore age out while hot shared entries (healthy-fabric tables several
+// tenants run on) survive any one tenant's fault churn. Occupancy changes
 // (place/remove/defrag) never invalidate: the tables encode availability,
 // not occupancy.
 #pragma once
@@ -66,6 +68,13 @@ class SolveContext final : public baseline::ModuleTableSource {
  public:
   SolveContext(SolveContextKey key, const fpga::PartialRegion& region,
                std::span<const model::Module> library);
+
+  /// The context of `base`'s library on `base`'s fabric with the cells of
+  /// `blocked` (region-shaped) also unavailable — a fault overlay, say:
+  /// every table is `base`'s filtered by placer::filter_tables, equal to
+  /// a fresh preparation on the reduced fabric without rescanning it.
+  SolveContext(SolveContextKey key, const SolveContext& base,
+               const BitMatrix& blocked);
 
   [[nodiscard]] const SolveContextKey& key() const noexcept { return key_; }
 
@@ -122,10 +131,15 @@ class SolveContextCache {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// The context for (region, library, use_alternatives): cached when the
-  /// signatures match an entry, freshly built (and inserted) otherwise.
+  /// signatures match an entry, built (and inserted) otherwise. A miss
+  /// with a `fault_free` context — same library and alternatives setting,
+  /// built on this region before its fault overlay — derives the new
+  /// context from it by filtering with region.fault_mask() instead of
+  /// rescanning the library.
   [[nodiscard]] std::shared_ptr<SolveContext> acquire(
       const fpga::PartialRegion& region,
-      std::span<const model::Module> library, bool use_alternatives);
+      std::span<const model::Module> library, bool use_alternatives,
+      const SolveContext* fault_free = nullptr);
 
   /// Drop the entry for `key`, if present. Holders keep their shared_ptr
   /// alive; the next acquire for the same signatures rebuilds (a miss).

@@ -131,11 +131,13 @@ class ThreadShard {
 };
 
 /// RAII timer: records the scope's wall time into `registry` under `name`.
-/// Decides at construction; ~free when collection is disabled.
+/// Decides at construction; ~free when collection is disabled (no name
+/// copy, one clock read).
 class ScopedTimer {
  public:
   ScopedTimer(Registry& registry, std::string_view name)
-      : registry_(enabled() ? &registry : nullptr), name_(name) {}
+      : registry_(enabled() ? &registry : nullptr),
+        name_(registry_ != nullptr ? name : std::string_view()) {}
   explicit ScopedTimer(std::string_view name) : ScopedTimer(global(), name) {}
 
   ScopedTimer(const ScopedTimer&) = delete;

@@ -1,11 +1,14 @@
 // Fabric, builders, partial region and the .fdf format.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "fpga/builders.hpp"
+#include "fpga/faults.hpp"
 #include "fpga/fdf.hpp"
 #include "fpga/region.hpp"
+#include "util/rng.hpp"
 
 namespace rr::fpga {
 namespace {
@@ -194,6 +197,62 @@ TEST(PartialRegion, FullyBlockedMaskEmptiesTheRegion) {
   for (int y = 0; y < 3; ++y)
     for (int x = 0; x < 5; ++x) EXPECT_FALSE(region.available(x, y));
   for (const auto& mask : region.masks()) EXPECT_EQ(mask.popcount(), 0);
+}
+
+TEST(PartialRegion, BlockMaskMatchesARebuiltRegion) {
+  // block_mask updates the resource masks by AND-NOT. Interleaved with
+  // fault overlays (applied, replaced, repaired), the masks must equal
+  // those of a region rebuilt tile by tile from the same blocked and
+  // faulty cells.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 977 + 1);
+    const int width = rng.uniform_int(9, 70);
+    const int height = rng.uniform_int(4, 14);
+    auto fabric = std::make_shared<const Fabric>(
+        make_irregular(width, height, IrregularSpec{}, seed));
+    PartialRegion region(fabric);
+    BitMatrix blocked(height, width);
+    BitMatrix faulty(height, width);
+    const auto random_cells = [&](double density) {
+      BitMatrix cells(height, width);
+      for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+          if (rng.chance(density)) cells.set(y, x, true);
+      return cells;
+    };
+    const auto expect_rebuilt_masks = [&](const char* step) {
+      PartialRegion rebuilt(fabric);
+      for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+          if (blocked.get(y, x)) rebuilt.block(Rect{x, y, 1, 1});
+      rebuilt.set_fault_mask(faulty);
+      EXPECT_EQ(region.masks(), rebuilt.masks())
+          << "seed " << seed << " after " << step;
+      EXPECT_EQ(region.total_available(), rebuilt.total_available());
+    };
+    for (int round = 0; round < 3; ++round) {
+      const BitMatrix cells = random_cells(0.1);
+      blocked.or_with(cells);
+      region.block_mask(cells);
+      expect_rebuilt_masks("block_mask");
+      // A new fault overlay replaces the old one: tiles it drops return
+      // to service unless blocked.
+      FaultMap faults(*fabric);
+      faulty = random_cells(0.05);
+      for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+          if (faulty.get(y, x)) faults.inject(x, y, FaultKind::kPermanent);
+      region.apply_faults(faults);
+      expect_rebuilt_masks("apply_faults");
+    }
+    const BitMatrix cells = random_cells(0.2);
+    blocked.or_with(cells);
+    region.block_mask(cells);
+    expect_rebuilt_masks("block_mask after faults");
+    faulty.clear();
+    region.apply_faults(FaultMap(*fabric));
+    expect_rebuilt_masks("repair");
+  }
 }
 
 TEST(PartialRegion, AvailableIsFalseOutsideTheWindow) {

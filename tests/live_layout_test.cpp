@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "reference/admission.hpp"
 #include "runtime/live_layout.hpp"
 #include "runtime/recovery.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -269,6 +271,27 @@ void expect_online_digest(const OnlineArm& arm, std::uint64_t expected) {
 
 TEST(LiveLayoutDigest, OnlineFirstFit) {
   expect_online_digest(OnlineArm{}, 0x7bf65374bff66aedULL);
+}
+
+TEST(LiveLayoutRelocation, RefutedSetsLogNoAreaWarnings) {
+  // Relocation sets whose filtered tables or total area rule them out are
+  // refuted before any model build, so the OnlineFirstFit trace's defrag
+  // passes — which refute many such sets — log no capacity warning.
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  baseline::OnlineDefragStats totals;
+  testing::internal::CaptureStderr();
+  (void)online_digest(OnlineArm{}, totals);
+  const std::string err = testing::internal::GetCapturedStderr();
+  set_log_level(level);
+  EXPECT_GT(totals.rejects, 0u);
+  std::istringstream lines(err);
+  std::size_t warnings = 0;
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("total module area exceeds region capacity") !=
+        std::string::npos)
+      ++warnings;
+  EXPECT_EQ(warnings, 0u);
 }
 
 TEST(LiveLayoutDigest, OnlineBestFitWithCachedTables) {

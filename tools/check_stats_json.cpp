@@ -151,6 +151,25 @@ void check_result_metric(const Value& results, const char* key) {
   }
 }
 
+// The relocation pipeline's stage metrics (runtime::LiveLayout::relocate):
+// optional — records older than them, or taken with metrics compiled out,
+// lack them — but each one present has the documented shape.
+void check_relocate_stages(const Value& metrics) {
+  const Value& timers = metrics.at("timers");
+  for (const char* stage : {"candidates", "tables", "build", "search"}) {
+    const std::string name = std::string("layout.relocate.") + stage;
+    if (!timers.contains(name)) continue;
+    require(timers.at(name).is_object(), name + " must be a timer object");
+    for (const char* key : {"count", "seconds"})
+      check_number(timers.at(name), key);
+  }
+  const Value& counters = metrics.at("counters");
+  for (const char* name :
+       {"layout.relocate.sets_tried", "layout.relocate.sets_refuted"})
+    require(!counters.contains(name) || counters.at(name).is_number(),
+            std::string(name) + " must be a number");
+}
+
 void check_bench_v1(const Value& doc) {
   require(doc.contains("bench") && doc.at("bench").is_string(),
           "missing string key \"bench\"");
@@ -184,6 +203,7 @@ void check_bench_v1(const Value& doc) {
           "defrag_relocated_modules", "defrag_relocated_tiles",
           "defrag_deadline_expiries", "defrag_rejects"})
       check_result_metric(results, key);
+    check_relocate_stages(metrics);
   } else if (bench == "service_load") {
     for (const char* key :
          {"requests", "throughput_rps", "throughput_rps_uncached",
