@@ -3,6 +3,7 @@
 // propagation and a full small placement solve.
 #include <benchmark/benchmark.h>
 
+#include "reference/table.hpp"
 #include "rrplace.hpp"
 #include "util/rng.hpp"
 
@@ -54,9 +55,9 @@ void BM_DomainKeepMasked(benchmark::State& state) {
 }
 BENCHMARK(BM_DomainKeepMasked)->Arg(256)->Arg(4096)->Arg(65536);
 
-/// One re-propagation of a positive table constraint after removing a
-/// value from the middle variable. range(1) selects the engine: 0 =
-/// scanning oracle, 1 = compact-table.
+/// One re-propagation of a positive table constraint (tests/reference)
+/// after removing a value from the middle variable. range(1) selects the
+/// engine: 0 = scanning oracle, 1 = compact-table.
 void BM_TablePropagation(benchmark::State& state) {
   const int tuples_n = static_cast<int>(state.range(0));
   const bool compact = state.range(1) != 0;
@@ -76,7 +77,9 @@ void BM_TablePropagation(benchmark::State& state) {
     std::vector<cp::VarId> vars;
     for (int i = 0; i < kArity; ++i)
       vars.push_back(space.new_var(0, kDomainSize - 1));
-    cp::post_table(space, vars, tuples, cp::TableOptions{compact});
+    reference::post_table(space, vars, tuples,
+                          compact ? reference::TableEngine::kCompact
+                                  : reference::TableEngine::kScanning);
     space.propagate();
     space.push();
     space.remove(vars[1], kDomainSize / 2);
@@ -95,7 +98,8 @@ BENCHMARK(BM_TablePropagation)
     ->Args({4096, 1});
 
 /// One re-propagation of an element constraint after a B&B-style cut on
-/// the result variable. range(1): 0 = scanning oracle, 1 = compact-table.
+/// the result variable. range(1): 0 = scanning engine (post_element's
+/// memory-guard fallback), 1 = compact-table (post_element).
 void BM_ElementPropagation(benchmark::State& state) {
   const int table_n = static_cast<int>(state.range(0));
   const bool compact = state.range(1) != 0;
@@ -107,8 +111,8 @@ void BM_ElementPropagation(benchmark::State& state) {
     cp::Space space;
     const cp::VarId index = space.new_var(0, table_n - 1);
     const cp::VarId result = space.new_var(0, 64);
-    cp::post_element(space, table, index, result,
-                     cp::ElementOptions{compact});
+    if (compact) cp::post_element(space, table, index, result);
+    else cp::detail::post_scanning_element(space, table, index, result);
     space.propagate();
     space.push();
     space.set_max(result, 20);  // the objective cut

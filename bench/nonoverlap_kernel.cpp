@@ -1,12 +1,15 @@
 // Geost kernel microbench — incremental vs from-scratch propagation.
 //
-// Runs the same seeded branch-and-bound placements twice, once per
-// non-overlap engine, under a fixed fail budget and no deadline so both
-// searches are deterministic and explore the identical tree. The engines
-// must agree exactly (extent, placements, node and fail counts); the
-// point of the bench is the per-kind kGeost propagation-time column,
-// where the incremental engine should come out ahead.
+// Solves the same seeded reduced Table I models (tests/reference/
+// reduced_model) twice, once per non-overlap engine — production's
+// incremental engine and the from-scratch reference — under a fixed fail
+// budget and no deadline so both searches are deterministic and explore the
+// identical tree. The engines must agree exactly (extent, placements, node
+// and fail counts); the point of the bench is the per-kind kGeost
+// propagation-time column, where the incremental engine should come out
+// ahead.
 #include "bench_common.hpp"
+#include "reference/reduced_model.hpp"
 
 int main() {
   using namespace rr;
@@ -16,7 +19,7 @@ int main() {
   // The geost timer is the measurement here, not an optional extra.
   metrics::set_enabled(true);
 
-  const auto geost_ns = [](const placer::PlacementOutcome& outcome) {
+  const auto geost_ns = [](const reference::ReducedOutcome& outcome) {
     return outcome.space_stats
         .by_kind[static_cast<std::size_t>(cp::PropKind::kGeost)]
         .time_ns;
@@ -33,16 +36,13 @@ int main() {
     model::ModuleGenerator generator(bench::paper_workload_params(), seed);
     const auto modules = generator.generate_many(config.modules);
 
-    placer::PlacementOutcome outcomes[2];
+    reference::ReducedOutcome outcomes[2];
     for (const bool incremental : {false, true}) {
-      placer::PlacerOptions options;
-      options.mode = placer::PlacerMode::kBranchAndBound;
-      options.time_limit_seconds = 0;  // deterministic: fail budget only
-      options.max_fails = 5000;
-      options.seed = seed;
-      options.nonoverlap.incremental = incremental;
-      outcomes[incremental] =
-          placer::Placer(*region, modules, options).place();
+      reference::ReducedEngines engines;
+      engines.geost = incremental ? reference::GeostEngine::kIncremental
+                                  : reference::GeostEngine::kScratch;
+      outcomes[incremental] = reference::solve_reduced_table1(
+          *region, modules, engines, seed, /*max_fails=*/5000);
     }
     const auto& incr = outcomes[1];
     const auto& scratch = outcomes[0];
@@ -50,21 +50,8 @@ int main() {
       ++infeasible;
       continue;
     }
-    // Identical trees or bust: same extent, same placements, same node and
-    // fail counts. Any divergence is an engine bug, not noise.
-    bool identical = incr.solution.feasible == scratch.solution.feasible &&
-                     incr.solution.extent == scratch.solution.extent &&
-                     incr.stats.nodes == scratch.stats.nodes &&
-                     incr.stats.fails == scratch.stats.fails &&
-                     incr.solution.placements.size() ==
-                         scratch.solution.placements.size();
-    for (std::size_t i = 0;
-         identical && i < incr.solution.placements.size(); ++i) {
-      const auto& a = incr.solution.placements[i];
-      const auto& b = scratch.solution.placements[i];
-      identical = a.module == b.module && a.shape == b.shape && a.x == b.x &&
-                  a.y == b.y;
-    }
+    // Identical trees or bust: any divergence is an engine bug, not noise.
+    const bool identical = incr.same_tree(scratch);
     if (!identical) ++mismatches;
     const auto report = placer::validate(*region, modules, incr.solution);
     if (!report.ok()) {

@@ -4,18 +4,22 @@
 // fail budgets, no deadline) so the engines must agree exactly and the
 // per-kind propagation-time columns are directly comparable:
 //
-//   1. element: the real placer model under seeded branch-and-bound, with
-//      the placement->extent element constraint switched between the
-//      compact and scanning engines (kElement time).
+//   1. element: the reduced Table I model (tests/reference/reduced_model)
+//      under seeded branch-and-bound, with the placement->extent element
+//      constraint switched between production's compact engine and its
+//      scanning memory-guard fallback (kElement time).
 //   2. table: a synthetic CSP of overlapping random ternary positive table
-//      constraints, enumerated by DFS under a fail budget, switched between
-//      CompactTable and ScanningTable (kTable time).
+//      constraints (tests/reference/table), enumerated by DFS under a fail
+//      budget, switched between CompactTable and ScanningTable (kTable
+//      time).
 //
 // The combined speedup (scanning / compact, summed over both kinds) is the
 // headline number; CI pins it via tools/bench_diff against the committed
 // baseline. Any tree divergence exits nonzero — it is an engine bug, not
 // noise.
 #include "bench_common.hpp"
+#include "reference/reduced_model.hpp"
+#include "reference/table.hpp"
 
 namespace {
 
@@ -57,8 +61,9 @@ TableRun run_table_csp(std::uint64_t seed, bool compact) {
         tuple[i] = rng.uniform_int(0, kDomainSize - 1);
       tuples.push_back(std::move(tuple));
     }
-    cp::post_table(space, scope, std::move(tuples),
-                   cp::TableOptions{compact});
+    reference::post_table(space, scope, std::move(tuples),
+                          compact ? reference::TableEngine::kCompact
+                                  : reference::TableEngine::kScanning);
   }
 
   cp::BasicBrancher brancher(vars, cp::VarSelect::kFirstFail,
@@ -86,7 +91,7 @@ int main() {
 
   int mismatches = 0;
 
-  // --- Experiment 1: placer element kernel under B&B ------------------------
+  // --- Experiment 1: reduced Table I model element kernel under B&B ---------
   RunningStats element_compact_ms, element_scan_ms, element_speedup;
   int infeasible = 0;
   TextTable element_table({"Run", "Extent", "Element compact",
@@ -97,15 +102,13 @@ int main() {
     model::ModuleGenerator generator(bench::paper_workload_params(), seed);
     const auto modules = generator.generate_many(config.modules);
 
-    placer::PlacementOutcome outcomes[2];
+    reference::ReducedOutcome outcomes[2];
     for (const bool compact : {false, true}) {
-      placer::PlacerOptions options;
-      options.mode = placer::PlacerMode::kBranchAndBound;
-      options.time_limit_seconds = 0;  // deterministic: fail budget only
-      options.max_fails = 5000;
-      options.seed = seed;
-      options.element.compact = compact;
-      outcomes[compact] = placer::Placer(*region, modules, options).place();
+      reference::ReducedEngines engines;
+      engines.element = compact ? reference::ElementEngine::kCompact
+                                : reference::ElementEngine::kScanning;
+      outcomes[compact] = reference::solve_reduced_table1(
+          *region, modules, engines, seed, /*max_fails=*/5000);
     }
     const auto& comp = outcomes[1];
     const auto& scan = outcomes[0];
@@ -115,19 +118,7 @@ int main() {
     }
     // Identical trees or bust: same extent, same placements, same node and
     // fail counts.
-    bool identical = comp.solution.feasible == scan.solution.feasible &&
-                     comp.solution.extent == scan.solution.extent &&
-                     comp.stats.nodes == scan.stats.nodes &&
-                     comp.stats.fails == scan.stats.fails &&
-                     comp.solution.placements.size() ==
-                         scan.solution.placements.size();
-    for (std::size_t i = 0; identical && i < comp.solution.placements.size();
-         ++i) {
-      const auto& a = comp.solution.placements[i];
-      const auto& b = scan.solution.placements[i];
-      identical = a.module == b.module && a.shape == b.shape && a.x == b.x &&
-                  a.y == b.y;
-    }
+    const bool identical = comp.same_tree(scan);
     if (!identical) ++mismatches;
     const auto report = placer::validate(*region, modules, comp.solution);
     if (!report.ok()) {

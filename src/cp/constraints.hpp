@@ -3,10 +3,13 @@
 // Each post_* builds one or more propagators on the given Space. Posting
 // never runs propagation itself; call Space::propagate() (the search engine
 // does this at every node, including the root).
+//
+// One engine per constraint: these are exactly the propagators the placer
+// models post. Differential oracles (and the positive table constraint,
+// which no model posts) live in tests/reference/.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "cp/space.hpp"
 
@@ -31,18 +34,28 @@ void post_max(Space& space, VarId z, std::span<const VarId> xs);
 /// z == min(xs) — bounds consistency. xs must be non-empty.
 void post_min(Space& space, VarId z, std::span<const VarId> xs);
 
-/// Options for post_element. `compact = false` selects the original
-/// scanning propagator, kept as a differential-testing oracle (same
-/// pattern as geost::NonOverlapOptions::incremental).
-struct ElementOptions {
-  bool compact = true;
-};
+/// Element engine selection for the placer's model options. Empty: the
+/// element constraint has a single engine (below). The struct stays because
+/// placer::PlacerOptions::element and placer::BuildOptions::element are
+/// part of the public option surface that external drivers copy field by
+/// field.
+struct ElementOptions {};
 
 /// result == table[index] — domain-consistent element constraint.
-/// Index values outside [0, table.size()) are pruned immediately.
+/// Index values outside [0, table.size()) are pruned immediately. The
+/// propagator is compact-table style (reversible sparse bitset over table
+/// indices); tables whose value span would make its support masks too
+/// large fall back to a scanning propagator with the same pruning.
 /// Returns the propagator id (usable with Space::schedule).
 int post_element(Space& space, std::span<const int> table, VarId index,
-                 VarId result, ElementOptions options = {});
+                 VarId result);
+
+namespace detail {
+/// post_element's memory-guard fallback engine, posted unconditionally.
+/// Declared for the differential tests that hold the compact engine to it.
+int post_scanning_element(Space& space, std::span<const int> table,
+                          VarId index, VarId result);
+}  // namespace detail
 
 /// All variables take pairwise distinct values (forward-checking strength).
 void post_all_different(Space& space, std::span<const VarId> vars);
@@ -54,19 +67,5 @@ void post_count(Space& space, std::span<const VarId> vars, int value,
 /// Reification: b <-> (x `op` c), where b is a 0/1 variable.
 /// b is clipped into [0, 1] at post time.
 void post_rel_reified(Space& space, VarId x, RelOp op, int c, VarId b);
-
-/// Options for post_table. `compact = false` selects the original
-/// scanning propagator, kept as a differential-testing oracle.
-struct TableOptions {
-  bool compact = true;
-};
-
-/// Positive table constraint: the tuple (vars[0], ..., vars[n-1]) must
-/// equal one of `tuples` (each of arity vars.size()). Generalized arc
-/// consistency; the default compact-table propagator keeps the live-tuple
-/// set in a reversible sparse bitset and updates it from domain deltas.
-/// Returns the propagator id (usable with Space::schedule).
-int post_table(Space& space, std::span<const VarId> vars,
-               std::vector<std::vector<int>> tuples, TableOptions options = {});
 
 }  // namespace rr::cp

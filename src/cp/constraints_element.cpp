@@ -15,8 +15,8 @@ namespace {
 /// immediately prunes placements and vice versa.
 ///
 /// Scanning implementation: one for_each pass over dom(index) per run.
-/// Kept behind ElementOptions{.compact = false} as the differential-testing
-/// oracle for CompactElement.
+/// post_element's fallback when compact support masks would be too large,
+/// and the differential-testing oracle for CompactElement.
 class ScanningElement final : public Propagator {
  public:
   ScanningElement(std::vector<int> table, VarId index, VarId result)
@@ -298,15 +298,19 @@ bool compact_feasible(std::span<const int> table) {
 }  // namespace
 
 int post_element(Space& space, std::span<const int> table, VarId index,
-                 VarId result, ElementOptions options) {
+                 VarId result) {
   RR_REQUIRE(!table.empty(), "element: table must be non-empty");
-  std::vector<int> table_vec(table.begin(), table.end());
-  if (options.compact && compact_feasible(table)) {
-    return space.post(
-        std::make_unique<CompactElement>(std::move(table_vec), index, result));
-  }
-  return space.post(
-      std::make_unique<ScanningElement>(std::move(table_vec), index, result));
+  if (!compact_feasible(table))
+    return detail::post_scanning_element(space, table, index, result);
+  return space.post(std::make_unique<CompactElement>(
+      std::vector<int>(table.begin(), table.end()), index, result));
+}
+
+int detail::post_scanning_element(Space& space, std::span<const int> table,
+                                  VarId index, VarId result) {
+  RR_REQUIRE(!table.empty(), "element: table must be non-empty");
+  return space.post(std::make_unique<ScanningElement>(
+      std::vector<int>(table.begin(), table.end()), index, result));
 }
 
 }  // namespace rr::cp

@@ -46,7 +46,8 @@ enum class PropKind : int {
   kDistinct,     // all-different
   kCount,        // occurrence counting
   kReified,      // b <-> (x op c)
-  kTable,        // positive table / GAC
+  kTable,        // positive table / GAC (tests/reference; no model posts
+                 // one, but stats and perfbench report every kind)
   kGeost,        // geost-style non-overlap over resource-typed boxes
   kOther,        // anything user-defined that doesn't declare a kind
 };

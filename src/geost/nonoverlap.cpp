@@ -10,9 +10,7 @@
 namespace rr::geost {
 namespace {
 
-// Two engines, one pruning semantics (see nonoverlap.hpp):
-//
-// The incremental engine is an advised propagator. The Space reports every
+// An advised propagator (see nonoverlap.hpp). The Space reports every
 // modification of a placement variable through modified(), which lands in a
 // dirty set drained at propagate() entry. Internal state — the union
 // occupancy bitmap of committed (assigned) objects and per-object cached
@@ -43,7 +41,6 @@ class NonOverlap final : public cp::Propagator {
       space.subscribe(objects_[j].var(), self, cp::kOnDomain,
                       static_cast<int>(j));
     }
-    if (!options_.incremental) return;
     occupancy_ = BitMatrix(height_, width_);
     delta_occupancy_ = BitMatrix(height_, width_);
     hazard_ = BitMatrix(height_, width_);
@@ -66,9 +63,7 @@ class NonOverlap final : public cp::Propagator {
     }
   }
 
-  [[nodiscard]] bool advised() const noexcept override {
-    return options_.incremental;
-  }
+  [[nodiscard]] bool advised() const noexcept override { return true; }
 
   void modified(cp::Space& /*space*/, cp::VarId /*var*/, int data) override {
     const std::size_t j = static_cast<std::size_t>(data);
@@ -103,10 +98,7 @@ class NonOverlap final : public cp::Propagator {
     }
   }
 
-  cp::PropStatus propagate(cp::Space& space) override {
-    return options_.incremental ? propagate_incremental(space)
-                                : propagate_scratch(space);
-  }
+  cp::PropStatus propagate(cp::Space& space) override;
 
  private:
   /// Cached compulsory part of one open object. `has_content` means other
@@ -125,15 +117,12 @@ class NonOverlap final : public cp::Propagator {
     Rect box;         // bounding box of the full (current) part
   };
 
-  cp::PropStatus propagate_incremental(cp::Space& space);
-  cp::PropStatus propagate_scratch(cp::Space& space);
-
   std::vector<GeostObject> objects_;
   int width_;
   int height_;
   NonOverlapOptions options_;
 
-  // --- Incremental engine state (untouched in from-scratch mode) ---------
+  // --- Trailed search state ----------------------------------------------
   BitMatrix occupancy_;         // union footprint of committed objects
   std::vector<int> committed_;  // committed placement value, -1 when open
   std::vector<std::size_t> commit_trail_;
@@ -157,7 +146,7 @@ class NonOverlap final : public cp::Propagator {
   std::vector<int> batch_probe_counts_;
 };
 
-cp::PropStatus NonOverlap::propagate_incremental(cp::Space& space) {
+cp::PropStatus NonOverlap::propagate(cp::Space& space) {
   const std::size_t n = objects_.size();
 
   // Drain the dirty set: everything modified since the previous run.
@@ -242,7 +231,8 @@ cp::PropStatus NonOverlap::propagate_incremental(cp::Space& space) {
   // survived earlier runs are still consistent with the old occupancy and
   // parts; only the grown cells can invalidate them. Removals re-enter the
   // dirty set via modified(), so compulsory-part growth cascades to the
-  // same fixpoint the from-scratch engine reaches.
+  // same fixpoint a from-scratch rebuild reaches (the differential oracle in
+  // tests/reference/nonoverlap.hpp).
   for (std::size_t j = 0; j < n; ++j) {
     const GeostObject& object = objects_[j];
     if (committed_[j] >= 0) continue;
@@ -271,8 +261,7 @@ cp::PropStatus NonOverlap::propagate_incremental(cp::Space& space) {
       }
       return false;
     };
-    if (options_.batch_anchors &&
-        dom.size() >= static_cast<long>(options_.batch_threshold)) {
+    if (dom.size() >= static_cast<long>(options_.batch_threshold)) {
       // Batch path, engaged lazily per shape: values are checked one at a
       // time exactly like the per-value path until a shape has seen enough
       // hazard-box hits to amortize a conflict bitmap — the union of all
@@ -360,101 +349,6 @@ cp::PropStatus NonOverlap::propagate_incremental(cp::Space& space) {
     }
     if (!removals_.empty()) {
       if (space.remove_values_sorted(object.var(), removals_) ==
-          cp::ModEvent::kFail)
-        return cp::PropStatus::kFail;
-    }
-  }
-  return cp::PropStatus::kFix;
-}
-
-cp::PropStatus NonOverlap::propagate_scratch(cp::Space& space) {
-  // Definite occupancy from assigned objects. Rebuilt every call; this
-  // engine keeps no search-dependent state, which keeps it trivially
-  // backtrack-safe — the differential-testing oracle for the incremental
-  // engine above.
-  BitMatrix occupancy(height_, width_);
-  Rect occupied_box{};  // union bbox, cheap prefilter
-  int assigned = 0;
-  for (const GeostObject& object : objects_) {
-    if (!space.assigned(object.var())) continue;
-    ++assigned;
-    const int value = space.value(object.var());
-    const Placement& p = object.placement(value);
-    const ShapeFootprint& shape = object.footprint_of(value);
-    if (occupancy.intersects_shifted(shape.mask(), p.y, p.x))
-      return cp::PropStatus::kFail;
-    occupancy.or_shifted(shape.mask(), p.y, p.x);
-    occupied_box = occupied_box.bounding_union(object.bbox_of(value));
-  }
-
-  // All placed and overlap-free: subsumed. Checked before compulsory-part
-  // construction so the final call does not build soft parts it would
-  // immediately discard.
-  if (assigned == static_cast<int>(objects_.size()))
-    return cp::PropStatus::kSubsumed;
-
-  // Compulsory parts of nearly-decided, still-open objects.
-  struct Soft {
-    std::size_t owner;
-    BitMatrix mask;
-    Rect box;
-  };
-  std::vector<Soft> soft;
-  if (options_.use_compulsory_parts) {
-    for (std::size_t j = 0; j < objects_.size(); ++j) {
-      const GeostObject& object = objects_[j];
-      const cp::Domain& dom = space.dom(object.var());
-      if (dom.assigned() || dom.size() > options_.compulsory_threshold)
-        continue;
-      BitMatrix part(height_, width_);
-      bool first = true;
-      Rect box{};
-      dom.for_each([&](int value) {
-        const Placement& p = object.placement(value);
-        const ShapeFootprint& shape = object.footprint_of(value);
-        if (first) {
-          part.or_shifted(shape.mask(), p.y, p.x);
-          box = object.bbox_of(value);
-          first = false;
-        } else {
-          BitMatrix this_one(height_, width_);
-          this_one.or_shifted(shape.mask(), p.y, p.x);
-          part.and_with(this_one);
-          box = box.intersection(object.bbox_of(value));
-        }
-      });
-      if (part.popcount() > 0)
-        soft.push_back(Soft{j, std::move(part), box});
-    }
-  }
-
-  // Prune every open object against occupancy and others' compulsory
-  // parts. Removals are collected per object (domain values ascend, so
-  // the batch is already sorted).
-  std::vector<int> removals;
-  for (std::size_t j = 0; j < objects_.size(); ++j) {
-    const GeostObject& object = objects_[j];
-    if (space.assigned(object.var())) continue;
-    removals.clear();
-    space.dom(object.var()).for_each([&](int value) {
-      const Rect box = object.bbox_of(value);
-      const Placement& p = object.placement(value);
-      const ShapeFootprint& shape = object.footprint_of(value);
-      if (box.intersects(occupied_box) &&
-          occupancy.intersects_shifted(shape.mask(), p.y, p.x)) {
-        removals.push_back(value);
-        return;
-      }
-      for (const Soft& s : soft) {
-        if (s.owner == j || !box.intersects(s.box)) continue;
-        if (s.mask.intersects_shifted(shape.mask(), p.y, p.x)) {
-          removals.push_back(value);
-          return;
-        }
-      }
-    });
-    if (!removals.empty()) {
-      if (space.remove_values_sorted(object.var(), removals) ==
           cp::ModEvent::kFail)
         return cp::PropStatus::kFail;
     }

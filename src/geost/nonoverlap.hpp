@@ -9,16 +9,14 @@
 // (b) is what makes this a sweep/forbidden-region kernel rather than plain
 // forward checking, and is the lever the ablation bench A3 toggles.
 //
-// Two propagation engines share the same pruning semantics:
-//   - incremental (default): an advised propagator that keeps the union
-//     occupancy bitmap and per-object compulsory parts as trailed state.
-//     An assignment ORs one footprint in, a backtrack rolls the propagator's
-//     own trail back alongside the Space's, and each run only re-examines
-//     placements against the *delta* occupancy and *grown* compulsory-part
-//     cells since the previous run.
-//   - from-scratch: rebuilds occupancy and all compulsory parts on every
-//     propagate() call. Kept as the differential-testing oracle and as the
-//     fallback when incrementality is disabled.
+// The propagator is event-driven and incremental: it keeps the union
+// occupancy bitmap and per-object compulsory parts as trailed state. An
+// assignment ORs one footprint in, a backtrack rolls the propagator's own
+// trail back alongside the Space's, and each run only re-examines
+// placements against the *delta* occupancy and *grown* compulsory-part
+// cells since the previous run. This is the only non-overlap engine in the
+// library; the from-scratch engine that rebuilds everything per call is the
+// differential oracle in tests/reference/nonoverlap.hpp.
 #pragma once
 
 #include <vector>
@@ -35,20 +33,15 @@ struct NonOverlapOptions {
   /// Compulsory parts are computed only for domains at most this large —
   /// larger domains essentially never have a non-empty compulsory part.
   int compulsory_threshold = 24;
-  /// Event-driven incremental kernel (see header comment). Both engines
-  /// reach the same fixpoints; false selects the from-scratch oracle.
-  bool incremental = true;
-  /// Batch anchor-feasibility kernel for the incremental engine's delta
-  /// pruning: objects with large live domains test all their placements
-  /// against one dilated conflict bitmap per shape instead of one
-  /// intersects_shifted call per value. Removal sets are identical either
-  /// way (false keeps the per-value loop, the differential oracle).
-  bool batch_anchors = true;
-  /// Live-domain size at which the batch kernel is considered at all;
-  /// smaller domains keep the per-value path. Within the batch path the
-  /// bitmaps are still built lazily — only once a shape has seen enough
-  /// hazard-box hits to amortize the build (capped by this value), so
-  /// small-delta propagations cost the same as the per-value path.
+  /// Live-domain size at which the batch anchor-feasibility kernel is
+  /// considered for the delta pruning: such objects may test all their
+  /// placements against one dilated conflict bitmap per shape instead of
+  /// one intersects_shifted call per value; smaller domains keep the
+  /// per-value path. Removal sets are identical either way. Within the
+  /// batch path the bitmaps are still built lazily — only once a shape has
+  /// seen enough hazard-box hits to amortize the build — so small-delta
+  /// propagations cost the same as the per-value path. A value <= 0 forces
+  /// the batch path on every domain (how the differential tests pin it).
   int batch_threshold = 96;
 };
 

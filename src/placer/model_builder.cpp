@@ -18,7 +18,7 @@ namespace {
 void post_comm_objective(cp::Space& space, const fpga::PartialRegion& region,
                          std::span<const ModuleTables> tables,
                          BuiltModel& built, const comm::BoundNets& nets,
-                         long weight, const cp::ElementOptions& element) {
+                         long weight) {
   RR_REQUIRE(nets.module_count() == static_cast<int>(tables.size()),
              "communication nets bound against a different module list");
   // Doubled-center variables for every module that appears in a net.
@@ -40,8 +40,7 @@ void post_comm_objective(cp::Space& space, const fpga::PartialRegion& region,
       const auto [lo, hi] = std::minmax_element(table.begin(), table.end());
       const cp::VarId v = space.new_var(*lo, *hi);
       cp::post_element(space, table,
-                       built.placement_vars[static_cast<std::size_t>(i)], v,
-                       element);
+                       built.placement_vars[static_cast<std::size_t>(i)], v);
       return v;
     };
     c2x[static_cast<std::size_t>(i)] = post_center(xs);
@@ -240,8 +239,7 @@ BuiltModel build_model_from_tables(const fpga::PartialRegion& region,
     const int min_extent = *std::min_element(extents.begin(), extents.end());
     const int max_extent = *std::max_element(extents.begin(), extents.end());
     const cp::VarId extent_var = space.new_var(min_extent, max_extent);
-    cp::post_element(space, extents, built.placement_vars[i], extent_var,
-                     options.element);
+    cp::post_element(space, extents, built.placement_vars[i], extent_var);
     built.extent_vars.push_back(extent_var);
   }
 
@@ -256,7 +254,7 @@ BuiltModel build_model_from_tables(const fpga::PartialRegion& region,
                        options.comm_weight > 0 && !options.comm_nets->empty();
   if (comm_on) {
     post_comm_objective(space, region, tables, built, *options.comm_nets,
-                        options.comm_weight, options.element);
+                        options.comm_weight);
   }
 
   if (options.area_bound) {

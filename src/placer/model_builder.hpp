@@ -22,8 +22,8 @@ struct BuildOptions {
   /// "no design alternatives" configuration).
   bool use_alternatives = true;
   geost::NonOverlapOptions nonoverlap{};
-  /// Element propagator selection for the placement->extent coupling
-  /// (compact-table by default; scanning kept for differential testing).
+  /// Empty (the element constraint has one engine); kept so option structs
+  /// copied field by field keep compiling — see cp::ElementOptions.
   cp::ElementOptions element{};
   /// Add the root-level area lower bound on the extent (redundant but
   /// effective pruning: the spanned columns must offer enough tiles).

@@ -7,7 +7,7 @@
 // intersects_shifted loops they replaced. This suite checks that contract
 // two ways: directly on random fabrics, and through the NonOverlap
 // propagator's batch delta pruning (random walks and full search vs the
-// per-anchor engine). The online defrag ranking's use of the conflict
+// from-scratch reference engine, which checks every placement per anchor). The online defrag ranking's use of the conflict
 // kernel is covered by online_defrag_fuzz_test.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "geost/anchor_kernel.hpp"
 #include "geost/nonoverlap.hpp"
 #include "geost/object.hpp"
+#include "reference/nonoverlap.hpp"
 #include "util/rng.hpp"
 
 namespace rr::geost {
@@ -217,7 +218,7 @@ TEST(ErodeFit, MatchesCoversShiftedOracle) {
   }
 }
 
-// --- NonOverlap: batch delta pruning vs the per-anchor loop -----------------
+// --- NonOverlap: batch delta pruning vs the from-scratch reference ----------
 
 /// Masks for a width x height all-CLB region with optional BRAM columns.
 std::vector<BitMatrix> region_masks(int width, int height,
@@ -239,8 +240,10 @@ struct DiffSetup {
   std::vector<GeostObject> objects;
 };
 
-/// Four polymorphic objects on an 8x5 region with a BRAM column.
-std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options) {
+/// Four polymorphic objects on an 8x5 region with a BRAM column, under the
+/// production engine with its batch path forced on every domain size or
+/// (`oracle`) the from-scratch reference engine.
+std::unique_ptr<DiffSetup> diff_setup(bool oracle) {
   constexpr int kWidth = 8, kHeight = 5;
   auto setup = std::make_unique<DiffSetup>();
   const auto masks = region_masks(kWidth, kHeight, {3});
@@ -253,26 +256,25 @@ std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options) {
     anchors.push_back(compute_valid_anchors(masks, shape));
   for (int i = 0; i < 4; ++i)
     setup->objects.push_back(make_object(setup->space, shapes, anchors));
-  post_non_overlap(setup->space, setup->objects, kWidth, kHeight, options);
+  NonOverlapOptions options;
+  options.compulsory_threshold = 64;  // soft parts everywhere
+  options.batch_threshold = 0;  // force the batch path on every domain size
+  if (oracle) {
+    reference::post_non_overlap_scratch(setup->space, setup->objects, kWidth,
+                                        kHeight, options);
+  } else {
+    post_non_overlap(setup->space, setup->objects, kWidth, kHeight, options);
+  }
   return setup;
 }
 
-NonOverlapOptions batch_options(bool batch) {
-  NonOverlapOptions options;
-  options.incremental = true;
-  options.compulsory_threshold = 64;  // soft parts everywhere
-  options.batch_anchors = batch;
-  options.batch_threshold = 0;  // force the batch path on every domain size
-  return options;
-}
-
-// Random push/assign/remove/pop walks through the batch and per-anchor
-// engines side by side: fail verdicts and all domains must stay identical
-// at every step.
+// Random push/assign/remove/pop walks through the batch engine and the
+// from-scratch reference side by side: fail verdicts and all domains must
+// stay identical at every step.
 TEST(NonOverlapBatch, RandomWalksMatchPerAnchorOracle) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    auto batch = diff_setup(batch_options(true));
-    auto oracle = diff_setup(batch_options(false));
+    auto batch = diff_setup(/*oracle=*/false);
+    auto oracle = diff_setup(/*oracle=*/true);
     Rng rng(seed * 6151 + 3);
 
     const auto domains_match = [&]() {
@@ -336,8 +338,8 @@ TEST(NonOverlapBatch, RandomWalksMatchPerAnchorOracle) {
 }
 
 TEST(NonOverlapBatch, SearchFindsIdenticalSolutionSets) {
-  auto batch = diff_setup(batch_options(true));
-  auto oracle = diff_setup(batch_options(false));
+  auto batch = diff_setup(/*oracle=*/false);
+  auto oracle = diff_setup(/*oracle=*/true);
   std::vector<cp::VarId> vars_a, vars_b;
   for (const GeostObject& o : batch->objects) vars_a.push_back(o.var());
   for (const GeostObject& o : oracle->objects) vars_b.push_back(o.var());

@@ -21,6 +21,7 @@
 
 #include "cp/constraints.hpp"
 #include "cp/space.hpp"
+#include "reference/table.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -54,8 +55,7 @@ TEST(SteadyStateAllocations, CompactElementPropagationIsAllocationFree) {
   for (int i = 0; i < kN; ++i) table[i] = (i % 8) + 4;
   const VarId index = space.new_var(0, kN - 1);
   const VarId result = space.new_var(0, 64);
-  const int prop = post_element(space, table, index, result,
-                                ElementOptions{/*compact=*/true});
+  const int prop = post_element(space, table, index, result);
   ASSERT_TRUE(space.propagate());
   ASSERT_EQ(space.dom(result).size(), 8);
 
@@ -94,7 +94,8 @@ TEST(SteadyStateAllocations, CompactTablePropagationIsAllocationFree) {
   for (int a = 0; a < kDomainSize; ++a)
     for (int b = 0; b < kDomainSize; ++b)
       tuples.push_back({a, b, (a + b) % kDomainSize});
-  post_table(space, vars, std::move(tuples), TableOptions{/*compact=*/true});
+  reference::post_table(space, vars, std::move(tuples),
+                        reference::TableEngine::kCompact);
   ASSERT_TRUE(space.propagate());
   for (const VarId v : vars) ASSERT_EQ(space.dom(v).size(), kDomainSize);
 

@@ -1,13 +1,16 @@
-// Reified relations and the positive table constraint, cross-checked
-// against brute force like the rest of the constraint library.
+// Reified relations and the positive table constraint (the reference
+// library's compact-table engine), cross-checked against brute force like
+// the rest of the constraint library.
 #include <gtest/gtest.h>
 
 #include "cp/constraints.hpp"
 #include "cp_test_utils.hpp"
+#include "reference/table.hpp"
 
 namespace rr::cp {
 namespace {
 
+using reference::post_table;
 using testing::Assignment;
 using testing::brute_force;
 using testing::solve_all;

@@ -2,15 +2,20 @@
 // observationally identical to the scanning oracles they replaced.
 //
 // Three layers of evidence, strongest last:
-//   1. fixpoint equivalence on random positive-table instances — after
-//      identical mutation bursts, both engines leave identical domains or
-//      both fail;
+//   1. fixpoint equivalence on random positive-table and element instances
+//      — after identical mutation bursts, both engines leave identical
+//      domains or both fail;
 //   2. lockstep seeded search walks over random table CSPs — identical
 //      node/fail/solution counts and identical solutions;
-//   3. the real placer model under branch-and-bound with the element
-//      engine toggled — identical trees, extents and placements.
+//   3. the reduced Table I model (tests/reference/reduced_model) under
+//      branch-and-bound with the element engine swapped — identical trees,
+//      extents and placements.
+// The positive table constraint itself lives in tests/reference/ (no
+// placer model posts one); the scanning element engine is post_element's
+// memory-guard fallback, which a brute-force check pins directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cp/constraints.hpp"
@@ -18,11 +23,15 @@
 #include "cp/space.hpp"
 #include "fpga/builders.hpp"
 #include "model/generator.hpp"
-#include "placer/placer.hpp"
+#include "reference/reduced_model.hpp"
+#include "reference/table.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace rr::cp {
 namespace {
+
+using reference::TableEngine;
 
 std::vector<std::vector<int>> random_tuples(Rng& rng, int arity, int count,
                                             int domain_size) {
@@ -62,8 +71,10 @@ TEST(TableDifferential, RandomMutationBurstsReachIdenticalFixpoints) {
       scan_vars.push_back(scan_space.new_var(0, domain_size - 1));
       compact_vars.push_back(compact_space.new_var(0, domain_size - 1));
     }
-    post_table(scan_space, scan_vars, tuples, TableOptions{false});
-    post_table(compact_space, compact_vars, tuples, TableOptions{true});
+    reference::post_table(scan_space, scan_vars, tuples,
+                          TableEngine::kScanning);
+    reference::post_table(compact_space, compact_vars, tuples,
+                          TableEngine::kCompact);
     ASSERT_EQ(scan_space.propagate(), compact_space.propagate())
         << "seed=" << seed << " initial propagation";
     if (scan_space.failed()) continue;
@@ -141,8 +152,10 @@ TEST(TableDifferential, LockstepSearchOverRandomTableCsps) {
       for (int first = 0; first + 3 <= kVars; first += 2) {
         std::vector<VarId> scope(vars.begin() + first,
                                  vars.begin() + first + 3);
-        post_table(space, scope, random_tuples(rng, 3, 120, kDomainSize),
-                   TableOptions{compact});
+        reference::post_table(space, scope,
+                              random_tuples(rng, 3, 120, kDomainSize),
+                              compact ? TableEngine::kCompact
+                                      : TableEngine::kScanning);
       }
       BasicBrancher brancher(vars, VarSelect::kFirstFail, ValSelect::kMin,
                              seed);
@@ -176,8 +189,8 @@ TEST(TableDifferential, ElementFixpointEquivalence) {
     const VarId sr = scan_space.new_var(-30, 70);
     const VarId ci = compact_space.new_var(-3, n + 3);
     const VarId cr = compact_space.new_var(-30, 70);
-    post_element(scan_space, table, si, sr, ElementOptions{false});
-    post_element(compact_space, table, ci, cr, ElementOptions{true});
+    detail::post_scanning_element(scan_space, table, si, sr);
+    post_element(compact_space, table, ci, cr);
     ASSERT_EQ(scan_space.propagate(), compact_space.propagate())
         << "seed=" << seed;
     if (scan_space.failed()) continue;
@@ -226,8 +239,9 @@ TEST(TableDifferential, ElementFixpointEquivalence) {
   }
 }
 
-// Layer 3: the real placer model. Branch-and-bound with the element engine
-// toggled must explore the identical tree and return identical placements.
+// Layer 3: the reduced Table I model. Branch-and-bound with the element
+// engine swapped must explore the identical tree and return identical
+// placements.
 TEST(TableDifferential, PlacerBranchAndBoundTreesAreIdentical) {
   auto fabric = std::make_shared<const fpga::Fabric>(
       fpga::make_homogeneous(24, 10));
@@ -241,34 +255,114 @@ TEST(TableDifferential, PlacerBranchAndBoundTreesAreIdentical) {
     model::ModuleGenerator generator(params, seed);
     const auto modules = generator.generate_many(6);
 
-    placer::PlacementOutcome outcomes[2];
+    reference::ReducedOutcome outcomes[2];
     for (const bool compact : {false, true}) {
-      placer::PlacerOptions options;
-      options.mode = placer::PlacerMode::kBranchAndBound;
-      options.time_limit_seconds = 0;  // deterministic: fail budget only
-      options.max_fails = 3000;
-      options.seed = seed;
-      options.element.compact = compact;
-      outcomes[compact] = placer::Placer(region, modules, options).place();
+      reference::ReducedEngines engines;
+      engines.element = compact ? reference::ElementEngine::kCompact
+                                : reference::ElementEngine::kScanning;
+      outcomes[compact] = reference::solve_reduced_table1(
+          region, modules, engines, seed, /*max_fails=*/3000);
     }
     const auto& scan = outcomes[0];
     const auto& comp = outcomes[1];
-    ASSERT_EQ(scan.solution.feasible, comp.solution.feasible)
-        << "seed=" << seed;
-    EXPECT_EQ(scan.stats.nodes, comp.stats.nodes) << "seed=" << seed;
-    EXPECT_EQ(scan.stats.fails, comp.stats.fails) << "seed=" << seed;
-    if (!scan.solution.feasible) continue;
-    EXPECT_EQ(scan.solution.extent, comp.solution.extent) << "seed=" << seed;
-    ASSERT_EQ(scan.solution.placements.size(),
-              comp.solution.placements.size())
-        << "seed=" << seed;
-    for (std::size_t i = 0; i < scan.solution.placements.size(); ++i) {
-      const auto& a = scan.solution.placements[i];
-      const auto& b = comp.solution.placements[i];
-      EXPECT_TRUE(a.module == b.module && a.shape == b.shape &&
-                  a.x == b.x && a.y == b.y)
-          << "seed=" << seed << " module=" << i;
+    ASSERT_TRUE(comp.solution.feasible) << "seed=" << seed;
+    EXPECT_GT(comp.stats.fails, 0u) << "seed=" << seed;
+    EXPECT_TRUE(scan.same_tree(comp))
+        << "seed=" << seed << " nodes " << scan.stats.nodes << " vs "
+        << comp.stats.nodes << ", fails " << scan.stats.fails << " vs "
+        << comp.stats.fails << ", extent " << scan.solution.extent << " vs "
+        << comp.solution.extent;
+  }
+}
+
+/// Restores the global metrics switch when a test exits.
+class MetricsSwitchGuard {
+ public:
+  MetricsSwitchGuard() : was_(metrics::enabled()) {}
+  ~MetricsSwitchGuard() { metrics::set_enabled(was_); }
+
+ private:
+  bool was_;
+};
+
+// post_element's memory guard: a table whose result span exceeds the
+// compact engine's limit is served by the scanning engine. It must prune
+// both directions exactly like a brute-force support check — through
+// mutation bursts and backtracking — and account its runs to kElement.
+TEST(TableDifferential, ElementMemoryGuardFallbackMatchesBruteForce) {
+  MetricsSwitchGuard guard;
+  metrics::set_enabled(true);  // before any Space snapshots the flag
+  constexpr int kHuge = 1 << 21;  // span > the compact engine's 2^20 limit
+  for (std::uint64_t seed = 400; seed <= 415; ++seed) {
+    Rng setup(seed);
+    const int n = setup.uniform_int(2, 60);
+    std::vector<int> table(static_cast<std::size_t>(n));
+    for (int& v : table) v = setup.uniform_int(-5, 25);
+    table[setup.bounded(table.size())] = kHuge;
+
+    Space space;
+    const VarId index = space.new_var(-3, n + 3);
+    const VarId result = space.new_var(-10, kHuge + 10);
+    post_element(space, table, index, result);
+
+    // Propagate, and hold the result to a brute-force support check from
+    // the pre-propagation domains: surviving indices are in range and map
+    // into dom(result); surviving results are images of surviving indices.
+    const auto propagate_and_check = [&](const std::string& context) {
+      const Domain di = space.dom(index);
+      const Domain dr = space.dom(result);
+      std::vector<int> indices, results;
+      di.for_each([&](int i) {
+        if (i < 0 || i >= n) return;
+        const int entry = table[static_cast<std::size_t>(i)];
+        if (!dr.contains(entry)) return;
+        indices.push_back(i);
+        results.push_back(entry);
+      });
+      std::sort(results.begin(), results.end());
+      results.erase(std::unique(results.begin(), results.end()),
+                    results.end());
+      const bool ok = space.propagate();
+      ASSERT_EQ(ok, !indices.empty()) << context;
+      if (!ok) return;
+      ASSERT_EQ(space.dom(index).values(), indices) << context;
+      ASSERT_EQ(space.dom(result).values(), results) << context;
+    };
+
+    propagate_and_check("seed=" + std::to_string(seed) + " root");
+    ASSERT_FALSE(space.failed()) << "seed=" << seed;
+    Rng walk(seed * 13 + 5);
+    int depth = 0;
+    for (int step = 0; step < 25; ++step) {
+      const std::string context =
+          "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
+      if (depth > 0 && walk.uniform_int(0, 3) == 0) {
+        space.pop();
+        --depth;
+        continue;
+      }
+      const VarId var = walk.uniform_int(0, 1) == 0 ? index : result;
+      const Domain& dom = space.dom(var);
+      if (dom.assigned()) continue;
+      const int v = dom.nth_value(static_cast<long>(
+          walk.bounded(static_cast<std::uint64_t>(dom.size()))));
+      space.push();
+      ++depth;
+      if (walk.uniform_int(0, 1) == 0) space.remove(var, v);
+      else space.set_max(var, v);
+      propagate_and_check(context);
+      if (space.failed()) {
+        space.pop();
+        --depth;
+      }
     }
+#ifndef RRPLACE_DISABLE_METRICS
+    EXPECT_GT(space.stats()
+                  .by_kind[static_cast<std::size_t>(PropKind::kElement)]
+                  .runs,
+              0u)
+        << "seed=" << seed;
+#endif
   }
 }
 

@@ -10,6 +10,7 @@
 #include "cp_test_utils.hpp"
 #include "geost/nonoverlap.hpp"
 #include "geost/object.hpp"
+#include "reference/nonoverlap.hpp"
 
 namespace rr::geost {
 namespace {
@@ -315,7 +316,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.second);
     });
 
-// --- Differential test: incremental engine vs from-scratch oracle ------------
+// --- Differential test: production engine vs from-scratch reference ---------
 
 struct DiffSetup {
   cp::Space space;
@@ -323,8 +324,10 @@ struct DiffSetup {
 };
 
 /// Four polymorphic objects (square / bar / mixed CLB+BRAM) on an 8x5
-/// region with a BRAM column, under the given engine options.
-std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options) {
+/// region with a BRAM column, under the production engine or (`scratch`)
+/// the from-scratch reference engine with the given options.
+std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options,
+                                      bool scratch) {
   constexpr int kWidth = 8, kHeight = 5;
   auto setup = std::make_unique<DiffSetup>();
   const auto masks = region_masks(kWidth, kHeight, {3});
@@ -337,7 +340,12 @@ std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options) {
     anchors.push_back(compute_valid_anchors(masks, shape));
   for (int i = 0; i < 4; ++i)
     setup->objects.push_back(make_object(setup->space, shapes, anchors));
-  post_non_overlap(setup->space, setup->objects, kWidth, kHeight, options);
+  if (scratch) {
+    reference::post_non_overlap_scratch(setup->space, setup->objects, kWidth,
+                                        kHeight, options);
+  } else {
+    post_non_overlap(setup->space, setup->objects, kWidth, kHeight, options);
+  }
   return setup;
 }
 
@@ -346,16 +354,19 @@ std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options) {
 // failed, every domain must be identical. This is the soundness *and*
 // completeness check for the incremental kernel — a missed pruning or an
 // over-pruning after backtracking both show up as a domain divergence.
+// Both modes are walked: kernel mode (compulsory parts everywhere) and the
+// forward-checking mode ablation A3 runs (no compulsory parts).
 TEST(NonOverlapDifferential, RandomWalksMatchFromScratchOracle) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    NonOverlapOptions incremental_options;
-    incremental_options.incremental = true;
-    incremental_options.compulsory_threshold = 64;  // soft parts everywhere
-    NonOverlapOptions scratch_options = incremental_options;
-    scratch_options.incremental = false;
+  for (std::uint64_t walk = 0; walk < 20; ++walk) {
+    const std::uint64_t seed = walk % 10;
+    const bool compulsory = walk < 10;
+    SCOPED_TRACE(compulsory ? "kernel mode" : "forward-checking mode");
+    NonOverlapOptions options;
+    options.use_compulsory_parts = compulsory;
+    options.compulsory_threshold = 64;  // soft parts everywhere
 
-    auto incr = diff_setup(incremental_options);
-    auto scratch = diff_setup(scratch_options);
+    auto incr = diff_setup(options, /*scratch=*/false);
+    auto scratch = diff_setup(options, /*scratch=*/true);
     std::mt19937 rng(static_cast<unsigned>(seed * 7919 + 1));
 
     const auto domains_match = [&]() {
@@ -427,12 +438,8 @@ TEST(NonOverlapDifferential, RandomWalksMatchFromScratchOracle) {
 
 // Both engines must enumerate the identical solution set under real search.
 TEST(NonOverlapDifferential, SearchFindsIdenticalSolutionSets) {
-  NonOverlapOptions incremental_options;
-  incremental_options.incremental = true;
-  NonOverlapOptions scratch_options;
-  scratch_options.incremental = false;
-  auto incr = diff_setup(incremental_options);
-  auto scratch = diff_setup(scratch_options);
+  auto incr = diff_setup({}, /*scratch=*/false);
+  auto scratch = diff_setup({}, /*scratch=*/true);
   std::vector<cp::VarId> vars_a, vars_b;
   for (const GeostObject& o : incr->objects) vars_a.push_back(o.var());
   for (const GeostObject& o : scratch->objects) vars_b.push_back(o.var());

@@ -1,18 +1,30 @@
+#include "reference/table.hpp"
+
 #include <algorithm>
+#include <bit>
 #include <memory>
-#include <vector>
 
-#include "cp/constraints.hpp"
 #include "cp/sparse_bitset.hpp"
+#include "util/error.hpp"
 
-namespace rr::cp {
+namespace rr::reference {
 namespace {
+
+using cp::Domain;
+using cp::ModEvent;
+using cp::PropKind;
+using cp::PropPriority;
+using cp::PropStatus;
+using cp::Propagator;
+using cp::ReversibleSparseBitSet;
+using cp::Space;
+using cp::VarId;
+using cp::kOnDomain;
 
 /// Positive table constraint with straight support scanning: a tuple is
 /// live iff every component is still in its variable's domain; a value
 /// survives iff some live tuple uses it. O(#tuples x arity) per run.
-/// Kept behind TableOptions{.compact = false} as the differential-testing
-/// oracle for CompactTable.
+/// The differential-testing oracle for CompactTable.
 class ScanningTable final : public Propagator {
  public:
   ScanningTable(std::vector<VarId> vars, std::vector<std::vector<int>> tuples)
@@ -326,14 +338,14 @@ bool compact_feasible(std::span<const VarId> vars,
 }  // namespace
 
 int post_table(Space& space, std::span<const VarId> vars,
-               std::vector<std::vector<int>> tuples, TableOptions options) {
+               std::vector<std::vector<int>> tuples, TableEngine engine) {
   RR_REQUIRE(!vars.empty(), "table: needs at least one variable");
   for (const std::vector<int>& tuple : tuples) {
     RR_REQUIRE(tuple.size() == vars.size(),
                "table: tuple arity must match variable count");
   }
   std::vector<VarId> var_vec(vars.begin(), vars.end());
-  if (options.compact && compact_feasible(vars, tuples)) {
+  if (engine == TableEngine::kCompact && compact_feasible(vars, tuples)) {
     return space.post(std::make_unique<CompactTable>(std::move(var_vec),
                                                      std::move(tuples)));
   }
@@ -341,4 +353,4 @@ int post_table(Space& space, std::span<const VarId> vars,
                                                     std::move(tuples)));
 }
 
-}  // namespace rr::cp
+}  // namespace rr::reference

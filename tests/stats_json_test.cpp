@@ -10,6 +10,7 @@
 #include "model/generator.hpp"
 #include "placer/placer.hpp"
 #include "placer/stats_json.hpp"
+#include "reference/table.hpp"
 #include "util/metrics.hpp"
 
 namespace rr::placer {
@@ -153,9 +154,10 @@ TEST(StatsJson, DisabledMetricsStillProducesValidDocument) {
   EXPECT_GT(doc.at("space").at("propagations").as_number(), 0.0);
 }
 
-// Both the compact and the scanning engines must attribute their work to
-// the same kTable / kElement buckets: the engine toggle is a performance
-// switch, never a metrics schema change.
+// Every engine of the table and element constraints — the reference
+// table's compact and scanning engines, post_element and its scanning
+// memory-guard fallback — must attribute its work to the same kTable /
+// kElement buckets: engine choice is never a metrics schema change.
 TEST(StatsJson, TableAndElementBucketsAttributedByBothEngines) {
 #ifndef RRPLACE_DISABLE_METRICS
   MetricsSwitchGuard guard;
@@ -169,14 +171,15 @@ TEST(StatsJson, TableAndElementBucketsAttributedByBothEngines) {
       for (int b = 0; b < 16; ++b)
         if ((a + b) % 3 == 0) tuples.push_back({a, b});
     const std::vector<cp::VarId> scope{x, y};
-    cp::post_table(space, scope, std::move(tuples),
-                   cp::TableOptions{compact});
+    reference::post_table(space, scope, std::move(tuples),
+                          compact ? reference::TableEngine::kCompact
+                                  : reference::TableEngine::kScanning);
     std::vector<int> table(16);
     for (int i = 0; i < 16; ++i) table[i] = (i * 7) % 11;
     const cp::VarId index = space.new_var(0, 15);
     const cp::VarId result = space.new_var(0, 15);
-    cp::post_element(space, table, index, result,
-                     cp::ElementOptions{compact});
+    if (compact) cp::post_element(space, table, index, result);
+    else cp::detail::post_scanning_element(space, table, index, result);
     ASSERT_TRUE(space.propagate());
     space.push();
     space.remove(x, 3);

@@ -10,8 +10,6 @@
 //   --mode bnb|lns|auto|restarts
 //                             search mode (default auto)
 //   --workers <n>             portfolio width (default 1)
-//   --no-incremental          from-scratch geost kernel (oracle engine)
-//   --no-compact-element      scanning element propagator (oracle engine)
 //   --seed <n>                random seed (default 1)
 //   --svg <path>              also write an SVG floorplan
 //   --stats-json <path>       write solver statistics (rrplace-stats-v1
@@ -123,8 +121,6 @@ struct CliOptions {
   double time_limit = 5.0;
   rr::placer::PlacerMode mode = rr::placer::PlacerMode::kAuto;
   int workers = 1;
-  bool incremental = true;
-  bool compact_element = true;
   std::uint64_t seed = 1;
   std::string svg_path;
   std::string stats_json_path;
@@ -172,8 +168,7 @@ struct CliOptions {
   std::cerr <<
       "usage: rrplace_cli --fabric F.fdf --modules M.mlf [options]\n"
       "  --no-alternatives, --time-limit S, --mode bnb|lns|auto|restarts,\n"
-      "  --workers N, --no-incremental, --no-compact-element, --seed N,\n"
-      "  --svg PATH,\n"
+      "  --workers N, --seed N, --svg PATH,\n"
       "  --stats-json PATH|-, --anchors MODULE,\n"
       "  --online-trace PATH, --defrag S,\n"
       "  --online-policy firstfit|bestfit|bottomleft|commcost,\n"
@@ -285,8 +280,6 @@ CliOptions parse_args(int argc, char** argv) {
     if (arg == "--fabric") options.fabric_path = need_value(i);
     else if (arg == "--modules") options.modules_path = need_value(i);
     else if (arg == "--no-alternatives") options.alternatives = false;
-    else if (arg == "--no-incremental") options.incremental = false;
-    else if (arg == "--no-compact-element") options.compact_element = false;
     else if (arg == "--time-limit")
       options.time_limit =
           parse_number<double>(need_value(i), "--time-limit", 0.0);
@@ -1364,8 +1357,6 @@ int main(int argc, char** argv) {
     options.time_limit_seconds = cli.time_limit;
     options.mode = cli.mode;
     options.workers = cli.workers;
-    options.nonoverlap.incremental = cli.incremental;
-    options.element.compact = cli.compact_element;
     options.seed = cli.seed;
     options.nets = nets.get();
     options.comm_weight = cli.comm_weight;
@@ -1382,8 +1373,6 @@ int main(int argc, char** argv) {
       config.set("alternatives", rr::json::Value(cli.alternatives));
       config.set("time_limit", rr::json::Value(cli.time_limit));
       config.set("workers", rr::json::Value(cli.workers));
-      config.set("incremental", rr::json::Value(cli.incremental));
-      config.set("compact_element", rr::json::Value(cli.compact_element));
       config.set("seed", rr::json::Value(cli.seed));
       if (!cli.nets_path.empty())
         config.set("nets", rr::json::Value(cli.nets_path));
