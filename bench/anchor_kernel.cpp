@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "geost/anchor_kernel.hpp"
+#include "reference/anchors.hpp"
 #include "util/rng.hpp"
 #include "util/simd/simd.hpp"
 
@@ -60,7 +61,7 @@ int main() {
         batch_ms += now_ms() - t0;
         t0 = now_ms();
         const auto scalar =
-            geost::compute_valid_anchors_scalar(region->masks(), shape);
+            reference::compute_valid_anchors_scalar(region->masks(), shape);
         scalar_ms += now_ms() - t0;
         if (batch != scalar) ++mismatches;
       }

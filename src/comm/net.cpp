@@ -1,49 +1,53 @@
 #include "comm/net.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace rr::comm {
 namespace {
 
-[[noreturn]] void line_error(int line, const std::string& what) {
-  throw InvalidInput("net:" + std::to_string(line) + ": " + what);
-}
-
-long parse_weight(std::string_view token, int line) {
-  long value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size() || value < 0)
-    line_error(line, "expected non-negative integer weight, got \"" +
-                         std::string(token) + "\"");
-  return value;
-}
-
-Point parse_terminal(std::string_view token, int line) {
+Point parse_terminal(const LineLexer& line, std::string_view token) {
   // token is "@x,y" with the '@' still attached.
-  const std::string_view body = token.substr(1);
-  const std::size_t comma = body.find(',');
+  const std::size_t comma = token.find(',');
   if (comma == std::string_view::npos)
-    line_error(line, "terminal must be @x,y, got \"" + std::string(token) +
-                         "\"");
-  Point p;
-  const std::string_view xs = body.substr(0, comma);
-  const std::string_view ys = body.substr(comma + 1);
-  const auto [xp, xe] = std::from_chars(xs.data(), xs.data() + xs.size(), p.x);
-  const auto [yp, ye] = std::from_chars(ys.data(), ys.data() + ys.size(), p.y);
-  if (xe != std::errc{} || xp != xs.data() + xs.size() || ye != std::errc{} ||
-      yp != ys.data() + ys.size() || p.x < 0 || p.y < 0)
-    line_error(line, "terminal coordinates must be non-negative integers in "
-                     "\"" +
-                         std::string(token) + "\"");
-  return p;
+    line.fail("terminal must be @x,y, got \"" + std::string(token) + "\"");
+  const auto x = parse_int(token.substr(1, comma - 1));
+  const auto y = parse_int(token.substr(comma + 1));
+  if (!x || !y || *x < 0 || *y < 0 || *x > INT_MAX || *y > INT_MAX)
+    line.fail("terminal coordinates must be non-negative integers in \"" +
+              std::string(token) + "\"");
+  return Point{static_cast<int>(*x), static_cast<int>(*y)};
+}
+
+NetList parse_nets(std::istream& in, std::string source) {
+  NetList out;
+  LineLexer line(in, std::move(source));
+  while (line.next()) {
+    if (line[0] != "net")
+      line.fail("expected \"net\", got \"" + std::string(line[0]) + "\"");
+    if (line.size() < 2) line.fail("missing net weight");
+    Net net;
+    net.weight = line.integer<long>(
+        1, "expected non-negative integer weight, got \"" +
+               std::string(line[1]) + "\"", 0);
+    for (std::size_t i = 2; i < line.size(); ++i) {
+      if (line[i].front() == '@')
+        net.terminals.push_back(parse_terminal(line, line[i]));
+      else
+        net.modules.emplace_back(line[i]);
+    }
+    if (net.endpoint_count() < 2)
+      line.fail("a net needs at least 2 endpoints, got " +
+                std::to_string(net.endpoint_count()));
+    out.nets.push_back(std::move(net));
+  }
+  return out;
 }
 
 }  // namespace
@@ -58,53 +62,14 @@ bool NetList::mentions(std::string_view name) const {
 }
 
 NetList parse_nets(std::string_view text) {
-  NetList out;
   std::istringstream in{std::string(text)};
-  std::string raw;
-  int line = 0;
-  while (std::getline(in, raw)) {
-    ++line;
-    const std::size_t hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream fields(raw);
-    std::string keyword;
-    if (!(fields >> keyword)) continue;  // blank or comment-only line
-    if (keyword != "net")
-      line_error(line, "expected \"net\", got \"" + keyword + "\"");
-    std::string token;
-    if (!(fields >> token)) line_error(line, "missing net weight");
-    Net net;
-    net.weight = parse_weight(token, line);
-    while (fields >> token) {
-      if (token.front() == '@') {
-        net.terminals.push_back(parse_terminal(token, line));
-      } else {
-        net.modules.push_back(token);
-      }
-    }
-    if (net.endpoint_count() < 2)
-      line_error(line, "a net needs at least 2 endpoints, got " +
-                           std::to_string(net.endpoint_count()));
-    out.nets.push_back(std::move(net));
-  }
-  return out;
+  return parse_nets(in, "net");
 }
 
 NetList load_nets(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw InvalidInput("cannot open net file " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return parse_nets(buffer.str());
-  } catch (const InvalidInput& e) {
-    // Rewrite the "net:<line>" prefix to "<path>:<line>".
-    const std::string what = e.what();
-    constexpr std::string_view kPrefix = "net:";
-    if (what.rfind(kPrefix, 0) == 0)
-      throw InvalidInput(path + ":" + what.substr(kPrefix.size()));
-    throw;
-  }
+  return parse_nets(in, path);
 }
 
 BoundNets::BoundNets(const NetList& nets,

@@ -60,12 +60,12 @@ struct NetList {
 
 /// Parse the `.net` text format:
 ///
-///   # comment (blank lines ignored)
+///   # comment (blank lines ignored; '#' also ends a line early)
 ///   net <weight> <endpoint> <endpoint> [...]
 ///
 /// where an endpoint is a module name or `@x,y` (a fixed fabric terminal).
 /// Weights must be non-negative integers; every net needs >= 2 endpoints.
-/// Errors throw InvalidInput prefixed with the 1-based line number.
+/// Errors throw InvalidInput located as "net:<line>: <what>".
 [[nodiscard]] NetList parse_nets(std::string_view text);
 
 /// parse_nets over a file; errors are prefixed with `path:line`.

@@ -8,10 +8,6 @@
 namespace rr::fpga {
 namespace {
 
-[[noreturn]] void fail(int line, const std::string& message) {
-  throw InvalidInput("fft:" + std::to_string(line) + ": " + message);
-}
-
 const char* kind_word(FaultKind kind) {
   return kind == FaultKind::kPermanent ? "permanent" : "transient";
 }
@@ -122,95 +118,85 @@ std::vector<FaultEvent> FaultMap::to_events() const {
   return events;
 }
 
+FaultEvent parse_fault_event(const LineLexer& line, std::size_t op_at,
+                             std::size_t args_at, int width, int height) {
+  const std::string_view op = line[op_at];
+  const std::size_t argc = line.size() - args_at;
+  const auto coord = [&](std::size_t i, const char* what) {
+    return line.integer(args_at + i, std::string(what) + " must be an integer");
+  };
+  const auto kind = [&](std::size_t i) {
+    if (argc <= i) return FaultKind::kPermanent;
+    const std::string_view word = line[args_at + i];
+    if (word == "permanent") return FaultKind::kPermanent;
+    if (word == "transient") return FaultKind::kTransient;
+    line.fail("fault kind must be 'permanent' or 'transient', got '" +
+              std::string(word) + "'");
+  };
+
+  FaultEvent event;
+  const char* located = nullptr;  // what the bounds error names
+  if (op == "tile") {
+    if (argc != 2 && argc != 3)
+      line.fail("expected: tile <x> <y> [permanent|transient]");
+    event.op = FaultEvent::Op::kTile;
+    event.rect = Rect{coord(0, "x"), coord(1, "y"), 1, 1};
+    event.kind = kind(2);
+    located = "tile coordinates";
+  } else if (op == "column") {
+    if (argc != 1 && argc != 2)
+      line.fail("expected: column <x> [permanent|transient]");
+    event.op = FaultEvent::Op::kColumn;
+    event.rect = Rect{coord(0, "x"), 0, 1, height};
+    event.kind = kind(1);
+    located = "column index";
+  } else if (op == "rect") {
+    if (argc != 4 && argc != 5)
+      line.fail("expected: rect <x> <y> <w> <h> [permanent|transient]");
+    event.op = FaultEvent::Op::kRect;
+    event.rect = Rect{coord(0, "x"), coord(1, "y"), coord(2, "w"),
+                      coord(3, "h")};
+    event.kind = kind(4);
+    if (event.rect.empty()) line.fail("rect must be non-empty");
+    located = "rect";
+  } else if (op == "repair") {
+    if (argc != 2) line.fail("expected: repair <x> <y>");
+    event.op = FaultEvent::Op::kRepairTile;
+    event.rect = Rect{coord(0, "x"), coord(1, "y"), 1, 1};
+    located = "repair coordinates";
+  } else if (op == "repair-transient") {
+    if (argc != 0) line.fail("expected: repair-transient");
+    event.op = FaultEvent::Op::kRepairTransient;
+  } else {
+    line.fail("unknown directive '" + std::string(op) + "'");
+  }
+  if (located != nullptr && !inside_grid(event.rect, width, height))
+    line.fail(std::string(located) + " out of bounds");
+  return event;
+}
+
 FaultTrace parse_fault_trace(std::istream& in) {
   FaultTrace trace;
-  std::string line;
-  int line_no = 0;
+  LineLexer line(in, "fft");
   bool have_header = false;
-  const auto bounds = [&] { return Rect{0, 0, trace.width, trace.height}; };
-
-  auto parse_kind = [&](const std::vector<std::string_view>& fields,
-                        std::size_t at) -> FaultKind {
-    if (fields.size() <= at) return FaultKind::kPermanent;
-    if (fields[at] == "permanent") return FaultKind::kPermanent;
-    if (fields[at] == "transient") return FaultKind::kTransient;
-    fail(line_no, "fault kind must be 'permanent' or 'transient', got '" +
-                      std::string(fields[at]) + "'");
-  };
-  auto parse_coord = [&](std::string_view field, const char* what) -> int {
-    const auto value = parse_int(field);
-    if (!value) fail(line_no, std::string(what) + " must be an integer");
-    return static_cast<int>(*value);
-  };
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto fields = split_ws(text);
-    if (fields[0] == "faults") {
-      if (have_header) fail(line_no, "duplicate faults header");
-      if (fields.size() != 3) fail(line_no, "expected: faults <w> <h>");
-      const auto w = parse_int(fields[1]);
-      const auto h = parse_int(fields[2]);
-      if (!w || !h || *w <= 0 || *h <= 0)
-        fail(line_no, "fault trace dimensions must be positive integers");
-      trace.width = static_cast<int>(*w);
-      trace.height = static_cast<int>(*h);
+  while (line.next()) {
+    if (line[0] == "faults") {
+      constexpr std::string_view kDims =
+          "fault trace dimensions must be positive integers";
+      if (have_header) line.fail("duplicate faults header");
+      if (line.size() != 3) line.fail("expected: faults <w> <h>");
+      trace.width = line.integer(1, kDims, 1);
+      trace.height = line.integer(2, kDims, 1);
       have_header = true;
       continue;
     }
-    if (!have_header) fail(line_no, "event before faults header");
-    FaultEvent event;
-    if (fields[0] == "tile") {
-      if (fields.size() != 3 && fields.size() != 4)
-        fail(line_no, "expected: tile <x> <y> [permanent|transient]");
-      event.op = FaultEvent::Op::kTile;
-      event.rect = Rect{parse_coord(fields[1], "x"),
-                        parse_coord(fields[2], "y"), 1, 1};
-      event.kind = parse_kind(fields, 3);
-      if (!bounds().contains(event.rect))
-        fail(line_no, "tile coordinates out of bounds");
-    } else if (fields[0] == "column") {
-      if (fields.size() != 2 && fields.size() != 3)
-        fail(line_no, "expected: column <x> [permanent|transient]");
-      event.op = FaultEvent::Op::kColumn;
-      const int x = parse_coord(fields[1], "x");
-      event.rect = Rect{x, 0, 1, trace.height};
-      event.kind = parse_kind(fields, 2);
-      if (x < 0 || x >= trace.width)
-        fail(line_no, "column index out of bounds");
-    } else if (fields[0] == "rect") {
-      if (fields.size() != 5 && fields.size() != 6)
-        fail(line_no, "expected: rect <x> <y> <w> <h> [permanent|transient]");
-      event.op = FaultEvent::Op::kRect;
-      event.rect = Rect{parse_coord(fields[1], "x"),
-                        parse_coord(fields[2], "y"),
-                        parse_coord(fields[3], "w"),
-                        parse_coord(fields[4], "h")};
-      event.kind = parse_kind(fields, 5);
-      if (event.rect.empty()) fail(line_no, "rect must be non-empty");
-      if (!bounds().contains(event.rect))
-        fail(line_no, "rect out of bounds");
-    } else if (fields[0] == "repair") {
-      if (fields.size() != 3) fail(line_no, "expected: repair <x> <y>");
-      event.op = FaultEvent::Op::kRepairTile;
-      event.rect = Rect{parse_coord(fields[1], "x"),
-                        parse_coord(fields[2], "y"), 1, 1};
-      if (!bounds().contains(event.rect))
-        fail(line_no, "repair coordinates out of bounds");
-    } else if (fields[0] == "repair-transient") {
-      if (fields.size() != 1) fail(line_no, "expected: repair-transient");
-      event.op = FaultEvent::Op::kRepairTransient;
-    } else {
-      fail(line_no, "unknown directive '" + std::string(fields[0]) + "'");
-    }
-    trace.events.push_back(event);
+    if (!have_header) line.fail("event before faults header");
+    trace.events.push_back(
+        parse_fault_event(line, 0, 1, trace.width, trace.height));
   }
   if (!have_header) {
-    if (line_no == 0) throw InvalidInput("fft: empty fault trace");
-    fail(line_no, "missing faults header");
+    if (line.line() == 0) throw InvalidInput("fft: empty fault trace");
+    line.fail("missing faults header");
   }
   return trace;
 }

@@ -21,7 +21,8 @@
 //   repair-transient
 //
 // The header is mandatory and every event is validated against it with a
-// line-numbered error. A FaultMap round-trips through a trace of its
+// line-numbered error ("fft:<line>:"); '#' starts a comment anywhere on a
+// line. A FaultMap round-trips through a trace of its
 // surviving injections (write_fault_map / parse order-independent state).
 #pragma once
 
@@ -32,6 +33,7 @@
 
 #include "fpga/fabric.hpp"
 #include "util/bitmatrix.hpp"
+#include "util/strings.hpp"
 
 namespace rr::fpga {
 
@@ -127,6 +129,15 @@ class FaultMap {
   int height_ = 0;
   std::vector<std::uint8_t> state_;
 };
+
+/// Parse the .fft event on the lexer's current line: the op is field
+/// `op_at`, its arguments run from field `args_at` to the end. Field
+/// counts, the kind and the bounds of a `width` x `height` fabric are
+/// checked; errors fail through the lexer. Serve traces embed these events.
+[[nodiscard]] FaultEvent parse_fault_event(const LineLexer& line,
+                                           std::size_t op_at,
+                                           std::size_t args_at, int width,
+                                           int height);
 
 /// Parse a fault trace; throws rr::InvalidInput with a line-numbered
 /// message on malformed input (unknown op, missing header, out-of-bounds

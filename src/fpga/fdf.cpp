@@ -7,96 +7,76 @@
 #include "util/strings.hpp"
 
 namespace rr::fpga {
-namespace {
-
-[[noreturn]] void fail(int line, const std::string& message) {
-  throw InvalidInput("fdf:" + std::to_string(line) + ": " + message);
-}
-
-}  // namespace
 
 Fabric parse_fdf(std::istream& in) {
-  std::string line;
-  int line_no = 0;
+  LineLexer line(in, "fdf");
   Fabric fabric;
   bool have_header = false;
   std::vector<bool> row_seen;
   std::vector<Rect> static_rects;
 
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Accept CRLF line endings regardless of how trim() treats '\r'.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto fields = split_ws(text);
-    if (fields[0] == "fabric") {
-      if (have_header) fail(line_no, "duplicate fabric header");
-      if (fields.size() != 4) fail(line_no, "expected: fabric <name> <w> <h>");
-      const auto w = parse_int(fields[2]);
-      const auto h = parse_int(fields[3]);
-      if (!w || !h || *w <= 0 || *h <= 0)
-        fail(line_no, "fabric dimensions must be positive integers");
-      fabric = Fabric(static_cast<int>(*w), static_cast<int>(*h),
-                      ResourceType::kClb, std::string(fields[1]));
-      row_seen.assign(static_cast<std::size_t>(*h), false);
+  while (line.next()) {
+    if (line[0] == "fabric") {
+      constexpr std::string_view kDims =
+          "fabric dimensions must be positive integers";
+      if (have_header) line.fail("duplicate fabric header");
+      if (line.size() != 4) line.fail("expected: fabric <name> <w> <h>");
+      const int w = line.integer(2, kDims, 1);
+      const int h = line.integer(3, kDims, 1);
+      fabric = Fabric(w, h, ResourceType::kClb, std::string(line[1]));
+      row_seen.assign(static_cast<std::size_t>(h), false);
       have_header = true;
-    } else if (fields[0] == "row") {
-      if (!have_header) fail(line_no, "row before fabric header");
-      if (fields.size() != 3) fail(line_no, "expected: row <y> <tiles>");
-      const auto y = parse_int(fields[1]);
-      if (!y || *y < 0 || *y >= fabric.height())
-        fail(line_no, "row index out of range");
-      const std::string_view tiles = fields[2];
+    } else if (line[0] == "row") {
+      if (!have_header) line.fail("row before fabric header");
+      if (line.size() != 3) line.fail("expected: row <y> <tiles>");
+      const int y = line.integer(1, "row index out of range", 0);
+      if (y >= fabric.height()) line.fail("row index out of range");
+      const std::string_view tiles = line[2];
       if (static_cast<int>(tiles.size()) != fabric.width())
-        fail(line_no, "row must have exactly width tiles");
-      if (row_seen[static_cast<std::size_t>(*y)])
-        fail(line_no, "duplicate row " + std::to_string(*y));
-      row_seen[static_cast<std::size_t>(*y)] = true;
+        line.fail("row must have exactly width tiles");
+      if (row_seen[static_cast<std::size_t>(y)])
+        line.fail("duplicate row " + std::to_string(y));
+      row_seen[static_cast<std::size_t>(y)] = true;
       for (int x = 0; x < fabric.width(); ++x) {
-        const auto t = resource_from_char(tiles[static_cast<std::size_t>(x)]);
-        if (!t) fail(line_no, std::string("unknown resource character '") +
-                                  tiles[static_cast<std::size_t>(x)] +
-                                  "' (column " + std::to_string(x + 1) + ")");
-        fabric.set(x, static_cast<int>(*y), *t);
+        const char ch = tiles[static_cast<std::size_t>(x)];
+        const auto t = resource_from_char(ch);
+        if (!t)
+          line.fail(std::string("unknown resource character '") + ch +
+                    "' (column " + std::to_string(x + 1) + ")");
+        fabric.set(x, y, *t);
       }
-    } else if (fields[0] == "static") {
+    } else if (line[0] == "static") {
       // Static-region rectangle: retypes the covered tiles to kStatic after
       // all rows are painted. Out-of-bounds and mutually overlapping
       // rectangles are rejected outright — silently clipping or
       // double-claiming tiles hides floorplan errors.
-      if (!have_header) fail(line_no, "static before fabric header");
-      if (fields.size() != 5) fail(line_no, "expected: static <x> <y> <w> <h>");
-      const auto x = parse_int(fields[1]);
-      const auto y = parse_int(fields[2]);
-      const auto w = parse_int(fields[3]);
-      const auto h = parse_int(fields[4]);
-      if (!x || !y || !w || !h)
-        fail(line_no, "static rectangle fields must be integers");
-      if (*w <= 0 || *h <= 0)
-        fail(line_no, "static rectangle dimensions must be positive");
-      const Rect rect{static_cast<int>(*x), static_cast<int>(*y),
-                      static_cast<int>(*w), static_cast<int>(*h)};
-      if (!fabric.bounds().contains(rect))
-        fail(line_no, "static rectangle out of bounds");
+      constexpr std::string_view kFields =
+          "static rectangle fields must be integers";
+      if (!have_header) line.fail("static before fabric header");
+      if (line.size() != 5) line.fail("expected: static <x> <y> <w> <h>");
+      const Rect rect{line.integer(1, kFields), line.integer(2, kFields),
+                      line.integer(3, kFields), line.integer(4, kFields)};
+      if (rect.empty())
+        line.fail("static rectangle dimensions must be positive");
+      if (!inside_grid(rect, fabric.width(), fabric.height()))
+        line.fail("static rectangle out of bounds");
       for (const Rect& prior : static_rects) {
         if (rect.intersects(prior))
-          fail(line_no, "static rectangle overlaps an earlier one");
+          line.fail("static rectangle overlaps an earlier one");
       }
       static_rects.push_back(rect);
     } else {
-      fail(line_no, "unknown directive '" + std::string(fields[0]) + "'");
+      line.fail("unknown directive '" + std::string(line[0]) + "'");
     }
   }
   if (!have_header) {
     // Distinguish "no input at all" from "input without a header": the
     // former gets a message that does not point at a bogus line 0.
-    if (line_no == 0) throw InvalidInput("fdf: empty fabric file");
-    fail(line_no, "missing fabric header");
+    if (line.line() == 0) throw InvalidInput("fdf: empty fabric file");
+    line.fail("missing fabric header");
   }
   for (std::size_t y = 0; y < row_seen.size(); ++y) {
-    if (!row_seen[y])
-      fail(line_no, "missing row " + std::to_string(y));
+    if (!row_seen[y]) line.fail("missing row " + std::to_string(y));
   }
   for (const Rect& rect : static_rects)
     fabric.set_rect(rect, ResourceType::kStatic);

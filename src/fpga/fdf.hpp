@@ -11,7 +11,8 @@
 // those of resource_char(). Rows may appear in any order. `static`
 // rectangles retype the covered tiles to kStatic after all rows are
 // painted; a rectangle reaching outside the fabric or overlapping another
-// static rectangle is rejected with a line-numbered error.
+// static rectangle is rejected with a line-numbered error ("fdf:<line>:");
+// '#' starts a comment anywhere on a line.
 #pragma once
 
 #include <iosfwd>

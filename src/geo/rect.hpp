@@ -66,4 +66,13 @@ struct Rect {
   constexpr auto operator<=>(const Rect&) const noexcept = default;
 };
 
+/// True when `r` is non-empty and lies inside the `width` x `height` grid
+/// anchored at the origin. No field sum is formed, so input parsers can
+/// test raw coordinates of any magnitude with it.
+[[nodiscard]] constexpr bool inside_grid(const Rect& r, int width,
+                                         int height) noexcept {
+  return r.x >= 0 && r.y >= 0 && r.width > 0 && r.height > 0 &&
+         r.width <= width - r.x && r.height <= height - r.y;
+}
+
 }  // namespace rr

@@ -66,15 +66,9 @@ class ShapeFootprint {
 /// region — and (3) — matching resource types — into the initial domain.
 /// Anchors are returned in row-major order (y outer, x inner... see impl),
 /// sorted by (x, y). Implemented on the batch anchor-feasibility kernel
-/// (geost/anchor_kernel); compute_valid_anchors_scalar is the per-anchor
-/// reference it must match anchor for anchor.
+/// (geost/anchor_kernel); the per-anchor reference it must match anchor for
+/// anchor is reference::compute_valid_anchors_scalar (tests/reference).
 [[nodiscard]] std::vector<Point> compute_valid_anchors(
-    std::span<const BitMatrix> masks_by_resource, const ShapeFootprint& shape);
-
-/// Per-anchor reference implementation of compute_valid_anchors — the
-/// differential oracle for the batch kernel (tests / bench; the batch path
-/// is strictly faster).
-[[nodiscard]] std::vector<Point> compute_valid_anchors_scalar(
     std::span<const BitMatrix> masks_by_resource, const ShapeFootprint& shape);
 
 }  // namespace rr::geost

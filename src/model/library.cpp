@@ -10,12 +10,9 @@
 namespace rr::model {
 namespace {
 
-[[noreturn]] void fail(int line, const std::string& message) {
-  throw InvalidInput("mlf:" + std::to_string(line) + ": " + message);
-}
-
+// Errors point at the shape's first line, `start`.
 ShapeFootprint shape_from_rows(const std::vector<std::string>& rows,
-                               int line_no) {
+                               const LineLexer& line, int start) {
   std::map<int, std::vector<Point>> by_resource;
   const int height = static_cast<int>(rows.size());
   for (int i = 0; i < height; ++i) {
@@ -26,11 +23,12 @@ ShapeFootprint shape_from_rows(const std::vector<std::string>& rows,
       if (ch == '.') continue;
       const auto t = fpga::resource_from_char(ch);
       if (!t || !fpga::placeable(*t))
-        fail(line_no, std::string("invalid shape character '") + ch + "'");
+        line.fail_at(start,
+                     std::string("invalid shape character '") + ch + "'");
       by_resource[static_cast<int>(*t)].push_back(Point{x, y});
     }
   }
-  if (by_resource.empty()) fail(line_no, "shape has no tiles");
+  if (by_resource.empty()) line.fail_at(start, "shape has no tiles");
   std::vector<TypedCells> groups;
   for (auto& [resource, cells] : by_resource)
     groups.push_back(TypedCells{resource, CellSet(std::move(cells), false)});
@@ -41,8 +39,7 @@ ShapeFootprint shape_from_rows(const std::vector<std::string>& rows,
 
 std::vector<Module> parse_mlf(std::istream& in) {
   std::vector<Module> modules;
-  std::string line;
-  int line_no = 0;
+  LineLexer line(in, "mlf");
 
   std::string current_name;
   std::vector<ShapeFootprint> current_shapes;
@@ -51,46 +48,44 @@ std::vector<Module> parse_mlf(std::istream& in) {
   std::vector<std::string> shape_rows;
   int shape_start_line = 0;
 
-  while (std::getline(in, line)) {
-    ++line_no;
+  // Shape pictures are read raw: a blank line or '#' inside one is an
+  // error, not a skipped line or a comment.
+  while (in_shape ? line.next_raw() : line.next()) {
     if (in_shape) {
-      const std::string_view text = trim(line);
-      if (text == "endshape") {
-        current_shapes.push_back(shape_from_rows(shape_rows, shape_start_line));
+      if (line.text() == "endshape") {
+        current_shapes.push_back(
+            shape_from_rows(shape_rows, line, shape_start_line));
         shape_rows.clear();
         in_shape = false;
-      } else if (text.empty()) {
-        fail(line_no, "blank line inside shape");
+      } else if (line.text().empty()) {
+        line.fail("blank line inside shape");
       } else {
-        shape_rows.emplace_back(text);
+        shape_rows.emplace_back(line.text());
       }
       continue;
     }
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto fields = split_ws(text);
-    if (fields[0] == "module") {
-      if (in_module) fail(line_no, "nested module");
-      if (fields.size() != 2) fail(line_no, "expected: module <name>");
-      current_name = std::string(fields[1]);
+    if (line[0] == "module") {
+      if (in_module) line.fail("nested module");
+      if (line.size() != 2) line.fail("expected: module <name>");
+      current_name = std::string(line[1]);
       current_shapes.clear();
       in_module = true;
-    } else if (fields[0] == "shape") {
-      if (!in_module) fail(line_no, "shape outside module");
+    } else if (line[0] == "shape") {
+      if (!in_module) line.fail("shape outside module");
       in_shape = true;
-      shape_start_line = line_no;
-    } else if (fields[0] == "endmodule") {
-      if (!in_module) fail(line_no, "endmodule without module");
-      if (current_shapes.empty()) fail(line_no, "module has no shapes");
+      shape_start_line = line.line();
+    } else if (line[0] == "endmodule") {
+      if (!in_module) line.fail("endmodule without module");
+      if (current_shapes.empty()) line.fail("module has no shapes");
       modules.emplace_back(current_name, std::move(current_shapes));
       current_shapes = {};
       in_module = false;
     } else {
-      fail(line_no, "unknown directive '" + std::string(fields[0]) + "'");
+      line.fail("unknown directive '" + std::string(line[0]) + "'");
     }
   }
-  if (in_shape) fail(line_no, "unterminated shape");
-  if (in_module) fail(line_no, "unterminated module");
+  if (in_shape) line.fail("unterminated shape");
+  if (in_module) line.fail("unterminated module");
   return modules;
 }
 

@@ -13,7 +13,8 @@
 //
 // Shape rows are printed top row first; '.' marks cells outside the shape;
 // other characters are resource chars (resource_char). Every shape of a
-// module is one design alternative.
+// module is one design alternative. '#' starts a comment anywhere on a
+// directive line; shape rows are read raw, so '#' inside a shape is an error.
 #pragma once
 
 #include <iosfwd>

@@ -234,7 +234,7 @@ PlacementService::PlacementService(std::vector<Tenant::Config> tenants,
                                    ServiceOptions options, bool cache_enabled)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock : &system_clock()),
-      cache_(cache_enabled, options.cache_capacity),
+      cache_(options.cache_capacity),
       paused_(options.start_paused) {
   RR_REQUIRE(options_.workers >= 1, "service needs at least one worker");
   RR_REQUIRE(options_.max_batch >= 1, "max_batch must be at least 1");
@@ -246,10 +246,8 @@ PlacementService::PlacementService(std::vector<Tenant::Config> tenants,
   for (Tenant::Config& config : tenants) {
     // cache_enabled = false means NO solve contexts at all — every request
     // pays the per-module anchor scan inside the online placer. That is
-    // the pre-service behavior and the bench's control arm; wiring the
-    // disabled cache in instead would still hand each tenant per-epoch
-    // tables and quietly measure the wrong thing.
-    config.cache = cache_.enabled() ? &cache_ : nullptr;
+    // the pre-service behavior and the benches' control arm.
+    config.cache = cache_enabled ? &cache_ : nullptr;
     config.clock = clock_;
     tenants_.push_back(std::make_unique<Tenant>(std::move(config)));
   }

@@ -96,7 +96,7 @@ std::shared_ptr<SolveContext> SolveContextCache::acquire(
     bool use_alternatives, const SolveContext* fault_free) {
   const SolveContextKey key{fabric_signature(region),
                             library_signature(library), use_alternatives};
-  if (enabled_) {
+  {
     const std::scoped_lock lock(mutex_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
@@ -118,7 +118,6 @@ std::shared_ptr<SolveContext> SolveContextCache::acquire(
     context = std::make_shared<SolveContext>(key, *fault_free, faults);
   else
     context = std::make_shared<SolveContext>(key, region, library);
-  if (!enabled_) return context;
   const std::scoped_lock lock(mutex_);
   const auto [it, inserted] = entries_.emplace(key, Entry{context, ++tick_});
   ++misses_;

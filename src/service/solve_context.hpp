@@ -112,8 +112,8 @@ struct SolveContextCacheStats {
 
 /// Shared, thread-safe context cache. acquire() is the only build path, so
 /// concurrent tenants with the same fabric and library share one table
-/// preparation. Disabled mode (enabled = false) builds a fresh context on
-/// every acquire and caches nothing — the control arm of the service bench.
+/// preparation. The service benches' uncached control arm hands tenants no
+/// cache at all (PlacementService's `cache_enabled = false`).
 class SolveContextCache {
  public:
   /// Default LRU capacity: comfortably above the distinct (fabric, library)
@@ -123,11 +123,9 @@ class SolveContextCache {
 
   /// `capacity` caps the entry count (LRU eviction on overflow); 0 means
   /// unbounded.
-  explicit SolveContextCache(bool enabled = true,
-                             std::size_t capacity = kDefaultCapacity)
-      : enabled_(enabled), capacity_(capacity) {}
+  explicit SolveContextCache(std::size_t capacity = kDefaultCapacity)
+      : capacity_(capacity) {}
 
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// The context for (region, library, use_alternatives): cached when the
@@ -153,7 +151,6 @@ class SolveContextCache {
     std::uint64_t last_used = 0;  // recency tick of the latest acquire
   };
 
-  const bool enabled_;
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::map<SolveContextKey, Entry> entries_;

@@ -4,127 +4,71 @@
 #include <sstream>
 #include <string>
 
-#include "util/error.hpp"
+#include "fpga/faults.hpp"
+#include "util/strings.hpp"
 
 namespace rr::service {
-namespace {
-
-[[noreturn]] void trace_error(std::string_view name, long line_no,
-                              const std::string& what) {
-  throw InvalidInput(std::string(name) + ':' + std::to_string(line_no) +
-                     ": " + what);
-}
-
-}  // namespace
 
 ServeTrace parse_serve_trace(std::istream& in, std::string_view name,
                              std::span<const model::Module> modules,
                              int fabric_width, int fabric_height) {
-  auto module_index = [&](const std::string& module_name) {
+  auto module_index = [&](std::string_view module_name) {
     for (std::size_t i = 0; i < modules.size(); ++i)
       if (modules[i].name() == module_name) return static_cast<int>(i);
     return -1;
   };
-  const Rect fabric_bounds{0, 0, fabric_width, fabric_height};
 
   ServeTrace trace;
-  long line_no = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream tokens(line);
-    std::string op;
-    if (!(tokens >> op) || op.front() == '#') continue;
+  LineLexer line(in, std::string(name));
+  while (line.next()) {
+    const std::string_view op = line[0];
     if (op == "tenants") {
+      constexpr std::string_view kUsage = "expected: tenants <count >= 1>";
       if (!trace.requests.empty())
-        trace_error(name, line_no, "tenants header after the first request");
-      if (!(tokens >> trace.tenants) || trace.tenants < 1)
-        trace_error(name, line_no, "expected: tenants <count >= 1>");
+        line.fail("tenants header after the first request");
+      if (line.size() != 2) line.fail(kUsage);
+      trace.tenants = line.integer(1, kUsage, 1);
       continue;
     }
     Request request;
-    if (!(tokens >> request.tenant))
-      trace_error(name, line_no, "expected: " + op + " <tenant> ...");
+    request.tenant =
+        line.integer(1, "expected: " + std::string(op) + " <tenant> ...");
     if (request.tenant < 0 || request.tenant >= trace.tenants)
-      trace_error(name, line_no,
-                  "tenant " + std::to_string(request.tenant) +
-                      " outside [0, " + std::to_string(trace.tenants) + ")");
+      line.fail("tenant " + std::to_string(request.tenant) + " outside [0, " +
+                std::to_string(trace.tenants) + ")");
     if (op == "place") {
+      constexpr std::string_view kUsage =
+          "expected: place <tenant> <id> <module> [deadline_ms]";
+      if (line.size() != 4 && line.size() != 5) line.fail(kUsage);
       request.op = RequestOp::kPlace;
-      std::string module_name;
-      if (!(tokens >> request.instance >> module_name))
-        trace_error(name, line_no,
-                    "expected: place <tenant> <id> <module> [deadline_ms]");
-      request.module = module_index(module_name);
+      request.instance = line.integer(2, kUsage);
+      request.module = module_index(line[3]);
       if (request.module < 0)
-        trace_error(name, line_no, "no module named '" + module_name + "'");
+        line.fail("no module named '" + std::string(line[3]) + "'");
       // Optional trailing deadline. A token that is present but not a
       // positive number is a malformed line, not a silent no-deadline.
-      double deadline_ms = 0.0;
-      if (tokens >> deadline_ms) {
-        if (!(deadline_ms > 0.0))
-          trace_error(name, line_no, "deadline_ms must be > 0");
-        request.deadline_ms = deadline_ms;
-      } else if (!tokens.eof()) {
-        trace_error(name, line_no, "deadline_ms must be a number");
+      if (line.size() == 5) {
+        request.deadline_ms = line.number(4, "deadline_ms must be a number");
+        if (!(request.deadline_ms > 0.0))
+          line.fail("deadline_ms must be > 0");
       }
     } else if (op == "remove") {
+      constexpr std::string_view kUsage = "expected: remove <tenant> <id>";
+      if (line.size() != 3) line.fail(kUsage);
       request.op = RequestOp::kRemove;
-      if (!(tokens >> request.instance))
-        trace_error(name, line_no, "expected: remove <tenant> <id>");
+      request.instance = line.integer(2, kUsage);
     } else if (op == "fault" || op == "repair" || op == "repair-transient") {
+      // `fault <tenant> <event>` carries a .fft injection event; the two
+      // repairs are .fft events whose op leads the line.
       request.op = RequestOp::kFault;
-      auto parse_kind = [&]() {
-        std::string kind;
-        return (tokens >> kind) && kind == "transient"
-                   ? fpga::FaultKind::kTransient
-                   : fpga::FaultKind::kPermanent;
-      };
-      if (op == "repair") {
-        request.fault.op = fpga::FaultEvent::Op::kRepairTile;
-        int x = 0, y = 0;
-        if (!(tokens >> x >> y))
-          trace_error(name, line_no, "expected: repair <tenant> <x> <y>");
-        request.fault.rect = Rect{x, y, 1, 1};
-      } else if (op == "repair-transient") {
-        request.fault.op = fpga::FaultEvent::Op::kRepairTransient;
-      } else {
-        std::string where;
-        if (!(tokens >> where))
-          trace_error(name, line_no,
-                      "expected: fault <tenant> tile|column|rect ...");
-        if (where == "tile") {
-          request.fault.op = fpga::FaultEvent::Op::kTile;
-          int x = 0, y = 0;
-          if (!(tokens >> x >> y))
-            trace_error(name, line_no,
-                        "expected: fault <tenant> tile <x> <y> [kind]");
-          request.fault.rect = Rect{x, y, 1, 1};
-        } else if (where == "column") {
-          request.fault.op = fpga::FaultEvent::Op::kColumn;
-          int x = 0;
-          if (!(tokens >> x))
-            trace_error(name, line_no,
-                        "expected: fault <tenant> column <x> [kind]");
-          request.fault.rect = Rect{x, 0, 1, fabric_height};
-        } else if (where == "rect") {
-          request.fault.op = fpga::FaultEvent::Op::kRect;
-          Rect r{};
-          if (!(tokens >> r.x >> r.y >> r.width >> r.height))
-            trace_error(name, line_no,
-                        "expected: fault <tenant> rect <x> <y> <w> <h>");
-          request.fault.rect = r;
-        } else {
-          trace_error(name, line_no, "unknown fault op '" + where + "'");
-        }
-        request.fault.kind = parse_kind();
-      }
-      if (request.fault.op != fpga::FaultEvent::Op::kRepairTransient &&
-          (request.fault.rect.empty() ||
-           !fabric_bounds.contains(request.fault.rect)))
-        trace_error(name, line_no, "fault rect outside the fabric");
+      const bool inject = op == "fault";
+      if (inject && (line.size() < 3 || line[2] == "repair" ||
+                     line[2] == "repair-transient"))
+        line.fail("expected: fault <tenant> tile|column|rect ...");
+      request.fault = fpga::parse_fault_event(
+          line, inject ? 2 : 0, inject ? 3 : 2, fabric_width, fabric_height);
     } else {
-      trace_error(name, line_no, "unknown trace op '" + op + "'");
+      line.fail("unknown trace op '" + std::string(op) + "'");
     }
     trace.requests.push_back(request);
   }

@@ -14,7 +14,10 @@
 //
 // The optional trailing deadline on `place` (milliseconds, > 0) is a
 // backward-compatible extension: absent means "no deadline" and every
-// pre-existing trace parses unchanged.
+// pre-existing trace parses unchanged. Fault and repair lines carry .fft
+// events (fpga::parse_fault_event: the same field counts, kinds, bounds
+// and messages); every line has an exact field count, and '#' starts a
+// comment anywhere on a line.
 #pragma once
 
 #include <iosfwd>

@@ -2,6 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <istream>
+#include <utility>
 
 namespace rr {
 
@@ -66,6 +69,46 @@ std::string to_lower(std::string_view s) {
   for (char& ch : out)
     ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
   return out;
+}
+
+LineLexer::LineLexer(std::istream& in, std::string source)
+    : in_(in), source_(std::move(source)) {}
+
+bool LineLexer::next() {
+  while (std::getline(in_, buffer_)) {
+    ++line_;
+    const std::string_view text =
+        trim(std::string_view(buffer_).substr(0, buffer_.find('#')));
+    if (text.empty()) continue;
+    set(text);
+    return true;
+  }
+  set({});
+  return false;
+}
+
+bool LineLexer::next_raw() {
+  const bool more = static_cast<bool>(std::getline(in_, buffer_));
+  if (more) ++line_;
+  set(more ? trim(buffer_) : std::string_view{});
+  return more;
+}
+
+void LineLexer::set(std::string_view text) {
+  text_ = text;
+  fields_ = split_ws(text);
+}
+
+double LineLexer::number(std::size_t i, std::string_view error) const {
+  const std::optional<double> value =
+      i < size() ? parse_double(fields_[i]) : std::nullopt;
+  if (!value || !std::isfinite(*value)) fail(error);
+  return *value;
+}
+
+void LineLexer::fail_at(int line, std::string_view what) const {
+  throw InvalidInput(source_ + ':' + std::to_string(line) + ": " +
+                     std::string(what));
 }
 
 }  // namespace rr

@@ -21,6 +21,7 @@
 #include "geost/anchor_kernel.hpp"
 #include "geost/nonoverlap.hpp"
 #include "geost/object.hpp"
+#include "reference/anchors.hpp"
 #include "reference/nonoverlap.hpp"
 #include "util/rng.hpp"
 
@@ -105,7 +106,7 @@ TEST(BatchValidAnchors, MatchesScalarOracleOnRandomFabrics) {
       const ShapeFootprint shape = random_shape(rng, 5, 3, 2);
 
       const auto batch = compute_valid_anchors(masks, shape);
-      const auto scalar = compute_valid_anchors_scalar(masks, shape);
+      const auto scalar = reference::compute_valid_anchors_scalar(masks, shape);
       ASSERT_EQ(batch, scalar)
           << "width=" << width << " round=" << round << " shape\n"
           << shape.mask().to_string();
@@ -136,7 +137,7 @@ TEST(BatchValidAnchors, UnknownResourceYieldsNoAnchors) {
   const ShapeFootprint shape = mixed_shape();  // demands kBram = resource 1
   EXPECT_EQ(batch_valid_anchors(masks, shape).popcount(), 0u);
   EXPECT_TRUE(compute_valid_anchors(masks, shape).empty());
-  EXPECT_TRUE(compute_valid_anchors_scalar(masks, shape).empty());
+  EXPECT_TRUE(reference::compute_valid_anchors_scalar(masks, shape).empty());
 }
 
 TEST(BatchValidAnchors, ShapeLargerThanRegionHasNone) {

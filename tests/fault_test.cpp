@@ -172,6 +172,11 @@ TEST(FaultMap, TraceParserRejectsMalformedInput) {
   expect_parse_error("faults 4 4\nrepair 5 5\n", "repair coordinates");
   expect_parse_error("faults 4 4\nzap 1 1\n", "unknown directive 'zap'");
   expect_parse_error("faults 4 4\n\n\ntile 1\n", "fft:4:");
+  // Beyond int: rejected, not wrapped to tile 0 0; at INT_MAX the bounds
+  // check must not overflow.
+  expect_parse_error("faults 4 4\ntile 4294967296 0\n", "x must be an integer");
+  expect_parse_error("faults 4 4\ntile 2147483647 0\n", "out of bounds");
+  expect_parse_error("faults 4 4\nrect 1 1 2147483647 1\n", "out of bounds");
 }
 
 // --- Region fault overlay -------------------------------------------------

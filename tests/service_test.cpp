@@ -137,7 +137,7 @@ TEST(SolveContextCache, HitsMissesAndInvalidation) {
   const fpga::PartialRegion region(fabric);
   const std::vector<Module> lib = small_library();
 
-  SolveContextCache cache(true);
+  SolveContextCache cache;
   const auto first = cache.acquire(region, lib, true);
   const auto second = cache.acquire(region, lib, true);
   EXPECT_EQ(first, second);  // shared entry
@@ -166,7 +166,7 @@ TEST(SolveContextCache, LruEvictsLeastRecentlyUsedAtCapacity) {
   const fpga::PartialRegion region_b(homogeneous_fabric(9, 4));
   const fpga::PartialRegion region_c(homogeneous_fabric(10, 4));
 
-  SolveContextCache cache(true, 2);
+  SolveContextCache cache(2);
   const auto a = cache.acquire(region_a, lib, true);
   const auto b = cache.acquire(region_b, lib, true);
   EXPECT_EQ(cache.stats().entries, 2u);
@@ -189,7 +189,7 @@ TEST(Tenant, FaultRekeysWithoutFlushingHealthyEntries) {
   // tenant re-keys only that tenant's context; the healthy-fabric entry the
   // other tenant runs on must stay cached (the flush regression the old
   // last-user eviction used to cause).
-  SolveContextCache cache(true);
+  SolveContextCache cache;
   Tenant healthy(tenant_config(8, 4, &cache));
   Tenant faulting(tenant_config(8, 4, &cache));
   EXPECT_EQ(healthy.context(), faulting.context());  // one shared entry
@@ -213,26 +213,11 @@ TEST(Tenant, FaultRekeysWithoutFlushingHealthyEntries) {
   EXPECT_EQ(cache.stats().misses, misses_before + 1);  // only the re-key
 }
 
-TEST(SolveContextCache, DisabledModeCachesNothing) {
-  const auto fabric = homogeneous_fabric(8, 4);
-  const fpga::PartialRegion region(fabric);
-  const std::vector<Module> lib = small_library();
-
-  SolveContextCache cache(false);
-  const auto a = cache.acquire(region, lib, true);
-  const auto b = cache.acquire(region, lib, true);
-  EXPECT_NE(a, b);
-  const SolveContextCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
 TEST(SolveContext, LookupResolvesLibraryModulesOnly) {
   const auto fabric = homogeneous_fabric(8, 4);
   const fpga::PartialRegion region(fabric);
   const std::vector<Module> lib = small_library();
-  SolveContextCache cache(true);
+  SolveContextCache cache;
   const auto context = cache.acquire(region, lib, true);
 
   ASSERT_NE(context->lookup(lib[1]), nullptr);
@@ -242,7 +227,7 @@ TEST(SolveContext, LookupResolvesLibraryModulesOnly) {
 }
 
 TEST(Tenant, PlaceRemoveAndErrorPaths) {
-  SolveContextCache cache(true);
+  SolveContextCache cache;
   Tenant tenant(tenant_config(8, 4, &cache));
 
   const Response placed = tenant.apply(place_req(0, 1, 0));
@@ -262,7 +247,7 @@ TEST(Tenant, PlaceRemoveAndErrorPaths) {
 }
 
 TEST(Tenant, CachedAndUncachedPlacementsAreBitIdentical) {
-  SolveContextCache cache(true);
+  SolveContextCache cache;
   Tenant cached(tenant_config(10, 5, &cache));
   Tenant uncached(tenant_config(10, 5, nullptr));
 
@@ -285,7 +270,7 @@ TEST(Tenant, CachedAndUncachedPlacementsAreBitIdentical) {
 }
 
 TEST(Tenant, FaultDisplacesAndRecoversWithFreshContext) {
-  SolveContextCache cache(true);
+  SolveContextCache cache;
   Tenant tenant(tenant_config(4, 1, &cache));
   // 4x1 strip, 1x1 module: deterministic bottom-left placement at (0,0).
   const Response placed = tenant.apply(place_req(0, 7, 2));
@@ -314,7 +299,7 @@ TEST(Tenant, FaultDisplacesAndRecoversWithFreshContext) {
 }
 
 TEST(Tenant, FaultCanLoseUnrecoverableInstances) {
-  SolveContextCache cache(true);
+  SolveContextCache cache;
   Tenant tenant(tenant_config(2, 1, &cache));
   ASSERT_EQ(tenant.apply(place_req(0, 0, 2)).status,
             Response::Status::kPlaced);

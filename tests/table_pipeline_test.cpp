@@ -190,7 +190,7 @@ TEST(TablePipeline, FaultDerivedContextEqualsFreshContext) {
       const service::SolveContext fresh(faulted_key, faulted, library);
       service::SolveContext derived(faulted_key, base, faulted.fault_mask());
       // Through the cache: a miss with the fault-free context derives.
-      service::SolveContextCache cache(true);
+      service::SolveContextCache cache;
       const auto acquired =
           cache.acquire(faulted, library, alternatives, &base);
       EXPECT_EQ(acquired->key(), faulted_key);

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "util/bitmatrix.hpp"
 #include "util/env.hpp"
@@ -256,6 +258,68 @@ TEST(Strings, ParseInt) {
 TEST(Strings, ParseDouble) {
   EXPECT_DOUBLE_EQ(*parse_double("2.5"), 2.5);
   EXPECT_FALSE(parse_double("abc").has_value());
+}
+
+std::string lexer_error(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const InvalidInput& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(LineLexer, SkipsCommentsAndBlankLinesAndCountsEveryLine) {
+  std::istringstream in("a b # c\n\n  # only\r\nx\t12 # 3\r\n");
+  LineLexer line(in, "src");
+  ASSERT_TRUE(line.next());
+  EXPECT_EQ(line.line(), 1);
+  ASSERT_EQ(line.size(), 2u);
+  EXPECT_EQ(line[0], "a");
+  EXPECT_EQ(line[1], "b");
+  ASSERT_TRUE(line.next());
+  EXPECT_EQ(line.line(), 4);
+  EXPECT_EQ(line.text(), "x\t12");
+  ASSERT_EQ(line.size(), 2u);
+  EXPECT_FALSE(line.next());
+  EXPECT_EQ(line.line(), 4);  // end of input keeps the last line number
+  EXPECT_EQ(line.size(), 0u);
+  EXPECT_EQ(lexer_error([&] { line.fail("at end"); }), "src:4: at end");
+}
+
+TEST(LineLexer, RawLinesKeepBlanksAndHashes) {
+  std::istringstream in("shape\r\n C#C \n\nend");
+  LineLexer line(in, "mlf");
+  ASSERT_TRUE(line.next());
+  ASSERT_TRUE(line.next_raw());
+  EXPECT_EQ(line.text(), "C#C");
+  ASSERT_TRUE(line.next_raw());
+  EXPECT_EQ(line.text(), "");
+  EXPECT_EQ(line.line(), 3);
+  ASSERT_TRUE(line.next_raw());
+  EXPECT_EQ(line.text(), "end");
+  EXPECT_FALSE(line.next_raw());
+  EXPECT_EQ(lexer_error([&] { line.fail_at(2, "in block"); }),
+            "mlf:2: in block");
+}
+
+TEST(LineLexer, CheckedNumericFieldsFailAtTheLine) {
+  std::istringstream in("\nx 12 99999999999 1.5 inf 4y\n");
+  LineLexer line(in, "src");
+  ASSERT_TRUE(line.next());
+  EXPECT_EQ(line.integer(1, "bad"), 12);
+  EXPECT_EQ(line.integer<long>(2, "bad"), 99999999999L);
+  EXPECT_DOUBLE_EQ(line.number(3, "bad"), 1.5);
+  EXPECT_EQ(lexer_error([&] { (void)line.integer(2, "too big"); }),
+            "src:2: too big");
+  EXPECT_EQ(lexer_error([&] { (void)line.integer(5, "trailing"); }),
+            "src:2: trailing");
+  EXPECT_EQ(lexer_error([&] { (void)line.integer(0, "word"); }),
+            "src:2: word");
+  EXPECT_EQ(lexer_error([&] { (void)line.number(4, "not finite"); }),
+            "src:2: not finite");
+  EXPECT_EQ(lexer_error([&] { (void)line.integer(9, "missing"); }),
+            "src:2: missing");
 }
 
 TEST(TextTable, RendersAlignedAndCsv) {

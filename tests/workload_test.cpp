@@ -179,5 +179,53 @@ TEST(TraceParser, RejectsMalformedDeadlines) {
                InvalidInput);
 }
 
+TEST(TraceParser, RejectsLaxLinesWithTheirLocation) {
+  const std::vector<Module> lib = test_library();
+  // Each probe sits on line 3 of its trace, after a comment and a header.
+  for (const char* probe : {"fault 0 tile 1 1 transiet",
+                            "fault 0 tile 1 1 transient extra junk",
+                            "remove 0 5xyz", "tenants 2 junk",
+                            "repair-transient 1 whatever"}) {
+    const std::string text = std::string("# probe\ntenants 2\n") + probe;
+    try {
+      (void)service::parse_serve_trace_text(text, "probe", lib, 16, 8);
+      ADD_FAILURE() << "accepted: " << probe;
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find("probe:3: "), std::string::npos)
+          << probe << " -> " << e.what();
+    }
+  }
+}
+
+TEST(TraceParser, FaultLinesUseTheFaultTraceGrammar) {
+  const std::vector<Module> lib = test_library();
+  const auto message = [&](const std::string& text) -> std::string {
+    try {
+      (void)service::parse_serve_trace_text(text, "ev", lib, 16, 8);
+    } catch (const InvalidInput& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message("fault 0 tile 16 0\n"),
+            "ev:1: tile coordinates out of bounds");
+  EXPECT_EQ(message("fault 0 rect 0 0 0 2\n"), "ev:1: rect must be non-empty");
+  EXPECT_EQ(message("fault 0 column x\n"), "ev:1: x must be an integer");
+  EXPECT_EQ(message("repair 0 1\n"), "ev:1: expected: repair <x> <y>");
+  EXPECT_EQ(message("fault 0 repair 1 1\n"),
+            "ev:1: expected: fault <tenant> tile|column|rect ...");
+
+  // A mid-line '#' starts a comment, as in every other format.
+  const ServeTrace trace = service::parse_serve_trace_text(
+      "tenants 1 # one tenant\n"
+      "fault 0 column 3 transient # scrubbed later\n"
+      "repair-transient 0\n",
+      "ev", lib, 16, 8);
+  ASSERT_EQ(trace.requests.size(), 2u);
+  EXPECT_EQ(trace.requests[0].fault.op, fpga::FaultEvent::Op::kColumn);
+  EXPECT_EQ(trace.requests[0].fault.kind, fpga::FaultKind::kTransient);
+  EXPECT_EQ(trace.requests[0].fault.rect, (Rect{3, 0, 1, 8}));
+}
+
 }  // namespace
 }  // namespace rr::sim
