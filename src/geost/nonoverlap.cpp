@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "geost/anchor_kernel.hpp"
@@ -51,6 +52,12 @@ class NonOverlap final : public cp::Propagator {
     in_dirty_.assign(n, 1);
     dirty_.resize(n);
     for (std::size_t j = 0; j < n; ++j) dirty_[j] = static_cast<int>(j);
+    std::size_t largest_table = 0;
+    for (const GeostObject& object : objects_)
+      largest_table = std::max(largest_table, object.table().size());
+    part_values_.reserve(std::min(
+        largest_table,
+        static_cast<std::size_t>(std::max(options_.compulsory_threshold, 0))));
     // Bounding box over each object's whole placement table — a cheap
     // whole-object prefilter for the delta pruning pass.
     table_boxes_.reserve(n);
@@ -105,17 +112,28 @@ class NonOverlap final : public cp::Propagator {
   /// objects were already pruned against the stored part at a still-live
   /// decision level, so a recompute needs to prune only against the cells
   /// the part *gained*; level_popped clears the flag for caches filled at
-  /// dead levels (the prunings they justified were rolled back too).
+  /// dead levels (the prunings they justified were rolled back too). The
+  /// stored bits, stale or not, lie in rows [row_lo, row_hi); `part` stays
+  /// unallocated until the object first has a non-empty bounding box.
   struct SoftCache {
     BitMatrix part;
+    int row_lo = 0;
+    int row_hi = 0;
     bool has_content = false;
   };
 
+  /// One run's growth of one object's part. Slots are reused across runs:
+  /// `grown` keeps its storage and is set only in the rows of `box`.
   struct SoftDelta {
     std::size_t owner;
     BitMatrix grown;  // newly-compulsory cells, not yet pruned against
     Rect box;         // bounding box of the full (current) part
   };
+
+  /// Recompute the compulsory part of open object `idx` from its current
+  /// domain into its cache, and record the cells it gained in the next free
+  /// delta slot (which counts as used only when it gained some).
+  void recompute_part(cp::Space& space, std::size_t idx, bool trail);
 
   std::vector<GeostObject> objects_;
   int width_;
@@ -136,7 +154,9 @@ class NonOverlap final : public cp::Propagator {
   // Per-run scratch, kept as members to avoid reallocation.
   BitMatrix delta_occupancy_;
   std::vector<int> drained_;
-  std::vector<SoftDelta> soft_deltas_;
+  std::vector<SoftDelta> soft_deltas_;  // slots; the first live_deltas_ hold
+  std::size_t live_deltas_ = 0;         // this run's growth
+  std::vector<int> part_values_;        // domain under recompute_part
   std::vector<int> removals_;
   // Batch-pruning scratch: the per-object hazard union and one lazily
   // dilated conflict bitmap per shape of the object under examination.
@@ -186,46 +206,20 @@ cp::PropStatus NonOverlap::propagate(cp::Space& space) {
 
   // Phase 2: recompute compulsory parts of open objects whose domains
   // changed, collecting the cells each part gained.
-  soft_deltas_.clear();
+  live_deltas_ = 0;
   if (options_.use_compulsory_parts) {
     for (int j : drained_) {
       const std::size_t idx = static_cast<std::size_t>(j);
-      const GeostObject& object = objects_[idx];
       if (committed_[idx] >= 0) continue;  // the footprint covers it now
-      const cp::Domain& dom = space.dom(object.var());
-      if (dom.size() > options_.compulsory_threshold) continue;
-      BitMatrix part(height_, width_);
-      bool first = true;
-      Rect box{};
-      dom.for_each([&](int value) {
-        const Placement& p = object.placement(value);
-        const ShapeFootprint& shape = object.footprint_of(value);
-        if (first) {
-          part.or_shifted(shape.mask(), p.y, p.x);
-          box = object.bbox_of(value);
-          first = false;
-        } else {
-          BitMatrix this_one(height_, width_);
-          this_one.or_shifted(shape.mask(), p.y, p.x);
-          part.and_with(this_one);
-          box = box.intersection(object.bbox_of(value));
-        }
-      });
-      SoftCache& cache = caches_[idx];
-      SoftDelta delta;
-      delta.owner = idx;
-      delta.grown = part;
-      if (cache.has_content) delta.grown.clear_shifted(cache.part, 0, 0);
-      delta.box = box;
-      cache.part = std::move(part);
-      cache.has_content = true;
-      if (trail) cache_trail_.push_back(idx);
-      if (delta.grown.popcount() > 0)
-        soft_deltas_.push_back(std::move(delta));
+      if (space.dom(objects_[idx].var()).size() >
+          options_.compulsory_threshold)
+        continue;
+      recompute_part(space, idx, trail);
     }
   }
+  const std::span<const SoftDelta> deltas(soft_deltas_.data(), live_deltas_);
 
-  if (!occupancy_grew && soft_deltas_.empty()) return cp::PropStatus::kFix;
+  if (!occupancy_grew && deltas.empty()) return cp::PropStatus::kFix;
 
   // Phase 3: prune open objects against the delta regions only. Values that
   // survived earlier runs are still consistent with the old occupancy and
@@ -238,9 +232,8 @@ cp::PropStatus NonOverlap::propagate(cp::Space& space) {
     if (committed_[j] >= 0) continue;
     const Rect& table_box = table_boxes_[j];
     bool relevant = occupancy_grew && table_box.intersects(delta_box);
-    for (std::size_t s = 0; !relevant && s < soft_deltas_.size(); ++s) {
-      relevant = soft_deltas_[s].owner != j &&
-                 table_box.intersects(soft_deltas_[s].box);
+    for (std::size_t s = 0; !relevant && s < deltas.size(); ++s) {
+      relevant = deltas[s].owner != j && table_box.intersects(deltas[s].box);
     }
     if (!relevant) continue;
     const cp::Domain& dom = space.dom(object.var());
@@ -255,7 +248,7 @@ cp::PropStatus NonOverlap::propagate(cp::Space& space) {
           delta_occupancy_.intersects_shifted(mask, p.y, p.x)) {
         return true;
       }
-      for (const SoftDelta& s : soft_deltas_) {
+      for (const SoftDelta& s : deltas) {
         if (s.owner == j || !box.intersects(s.box)) continue;
         if (s.grown.intersects_shifted(mask, p.y, p.x)) return true;
       }
@@ -275,7 +268,7 @@ cp::PropStatus NonOverlap::propagate(cp::Space& space) {
       // path's cost.
       Rect hazard_box{};
       if (occupancy_grew) hazard_box = delta_box;
-      for (const SoftDelta& s : soft_deltas_) {
+      for (const SoftDelta& s : deltas) {
         if (s.owner != j) hazard_box = hazard_box.bounding_union(s.box);
       }
       const std::size_t num_shapes = object.shapes().size();
@@ -324,7 +317,7 @@ cp::PropStatus NonOverlap::propagate(cp::Space& space) {
           if (!hazard_built) {
             hazard_.clear();
             if (occupancy_grew) hazard_.or_with(delta_occupancy_);
-            for (const SoftDelta& s2 : soft_deltas_) {
+            for (const SoftDelta& s2 : deltas) {
               if (s2.owner != j) hazard_.or_with(s2.grown);
             }
             hazard_built = true;
@@ -354,6 +347,73 @@ cp::PropStatus NonOverlap::propagate(cp::Space& space) {
     }
   }
   return cp::PropStatus::kFix;
+}
+
+void NonOverlap::recompute_part(cp::Space& space, std::size_t idx,
+                                bool trail) {
+  const GeostObject& object = objects_[idx];
+  part_values_.clear();
+  space.dom(object.var()).for_each(
+      [&](int value) { part_values_.push_back(value); });
+  // The part lies inside every value's bounding box, so an empty
+  // intersection proves it empty without touching a bitmap.
+  Rect box = object.bbox_of(part_values_.front());
+  for (std::size_t i = 1; i < part_values_.size() && !box.empty(); ++i)
+    box = box.intersection(object.bbox_of(part_values_[i]));
+
+  SoftCache& cache = caches_[idx];
+  const bool had_content = cache.has_content;
+  cache.has_content = true;
+  if (trail) cache_trail_.push_back(idx);
+  if (box.empty()) {
+    cache.part.clear_rows(cache.row_lo, cache.row_hi);
+    cache.row_lo = cache.row_hi = 0;
+    return;
+  }
+
+  if (cache.part.empty()) cache.part = BitMatrix(height_, width_);
+  if (live_deltas_ == soft_deltas_.size())
+    soft_deltas_.push_back(SoftDelta{idx, BitMatrix(height_, width_), Rect{}});
+  SoftDelta& delta = soft_deltas_[live_deltas_];
+  delta.grown.clear_rows(delta.box.y, delta.box.top());
+  delta.owner = idx;
+  delta.box = box;
+
+  // Build the part word by word on the band's rows only: each word is the
+  // AND of every value's shifted footprint window, and stops at the first
+  // value that empties it. Words outside the box's columns are zero. The
+  // stored part is read before it is overwritten, which gives the gained
+  // cells; it is stale (and ignored) unless had_content.
+  const std::size_t word_lo = static_cast<std::size_t>(box.x) >> 6;
+  const std::size_t word_hi = static_cast<std::size_t>(box.right() - 1) >> 6;
+  bool grew = false;
+  for (int r = box.y; r < box.top(); ++r) {
+    const std::span<std::uint64_t> part_row = cache.part.row_span_mut(r);
+    const std::span<std::uint64_t> grown_row = delta.grown.row_span_mut(r);
+    for (std::size_t w = 0; w < part_row.size(); ++w) {
+      std::uint64_t word = 0;
+      if (w >= word_lo && w <= word_hi) {
+        word = ~std::uint64_t{0};
+        const int col = static_cast<int>(w) * 64;
+        for (const int value : part_values_) {
+          const Placement& p = object.placement(value);
+          word &= object.footprint_of(value).mask().row_window(r - p.y,
+                                                               col - p.x);
+          if (word == 0) break;
+        }
+      }
+      const std::uint64_t old = had_content ? part_row[w] : 0;
+      part_row[w] = word;
+      grown_row[w] = word & ~old;
+      grew = grew || grown_row[w] != 0;
+    }
+  }
+  // Clear what the previous part left outside the new band.
+  cache.part.clear_rows(cache.row_lo, std::min(cache.row_hi, box.y));
+  cache.part.clear_rows(std::max(cache.row_lo, box.top()), cache.row_hi);
+  cache.row_lo = box.y;
+  cache.row_hi = box.top();
+  if (grew) ++live_deltas_;
 }
 
 }  // namespace

@@ -72,10 +72,12 @@ std::vector<Module> parse_mlf(std::istream& in) {
       in_module = true;
     } else if (line[0] == "shape") {
       if (!in_module) line.fail("shape outside module");
+      if (line.size() != 1) line.fail("expected: shape");
       in_shape = true;
       shape_start_line = line.line();
     } else if (line[0] == "endmodule") {
       if (!in_module) line.fail("endmodule without module");
+      if (line.size() != 1) line.fail("expected: endmodule");
       if (current_shapes.empty()) line.fail("module has no shapes");
       modules.emplace_back(current_name, std::move(current_shapes));
       current_shapes = {};

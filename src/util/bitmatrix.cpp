@@ -20,6 +20,17 @@ void BitMatrix::clear() noexcept {
   std::fill(words_.begin(), words_.end(), 0);
 }
 
+void BitMatrix::clear_rows(int begin, int end) noexcept {
+  begin = std::max(begin, 0);
+  end = std::min(end, rows_);
+  if (end <= begin) return;
+  const auto row_start = [&](int r) {
+    return words_.begin() + static_cast<std::ptrdiff_t>(
+                                static_cast<std::size_t>(r) * words_per_row_);
+  };
+  std::fill(row_start(begin), row_start(end), 0);
+}
+
 void BitMatrix::fill() noexcept {
   if (empty()) return;
   std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});

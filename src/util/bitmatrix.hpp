@@ -40,6 +40,9 @@ class BitMatrix {
   void clear() noexcept;
   void fill() noexcept;
 
+  /// Clear rows [begin, end) (clipped to the matrix; empty when end <= begin).
+  void clear_rows(int begin, int end) noexcept;
+
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const noexcept;
 
@@ -103,6 +106,11 @@ class BitMatrix {
             words_per_row_};
   }
 
+  /// The 64-bit window of row r beginning at column c: bit i is cell
+  /// (r, c + i). r and c may lie outside the matrix; out-of-range cells read
+  /// as zero.
+  [[nodiscard]] std::uint64_t row_window(int r, int c) const noexcept;
+
   /// Multi-line string with '#' for set bits and '.' for clear bits;
   /// row 0 printed first.
   [[nodiscard]] std::string to_string() const;
@@ -120,10 +128,6 @@ class BitMatrix {
                   static_cast<std::size_t>(c >> 6)];
   }
   static int bit(int c) noexcept { return c & 63; }
-
-  /// Extract the 64-bit window of row r beginning at column c (which may be
-  /// negative or beyond the row; out-of-range bits read as zero).
-  [[nodiscard]] std::uint64_t row_window(int r, int c) const noexcept;
 
   int rows_ = 0;
   int cols_ = 0;

@@ -323,30 +323,133 @@ struct DiffSetup {
   std::vector<GeostObject> objects;
 };
 
-/// Four polymorphic objects (square / bar / mixed CLB+BRAM) on an 8x5
-/// region with a BRAM column, under the production engine or (`scratch`)
-/// the from-scratch reference engine with the given options.
+/// A walk instance: four polymorphic objects (square / bar / mixed
+/// CLB+BRAM) on a `width` x 5 region whose column `offset + 3` is BRAM,
+/// anchored in columns [offset, offset + span).
+struct WalkInstance {
+  int width;
+  int offset;
+  int span;
+  int square;  // side of the square shape
+  int bar_width;
+  int bar_height;
+};
+
+/// The sparse 8x5 instance: domains of 39 values. Its walks never reach a
+/// non-empty compulsory part (the search test below does).
+constexpr WalkInstance kSparse{8, 0, 8, 2, 3, 1};
+/// Crowded: 3x3 squares and 5x2 bars on 10x5. Domains start at 27 values,
+/// above the production threshold, and parts appear as soon as a few
+/// objects are decided.
+constexpr WalkInstance kCrowded{10, 0, 10, 3, 5, 2};
+/// The crowded instance at columns 58-67 of an 80-column region: rows take
+/// two words, and the parts right of the BRAM column lie across or above
+/// the word boundary at column 64.
+constexpr WalkInstance kCrowdedWide{80, 58, 10, 3, 5, 2};
+
+/// `instance` under the production engine or (`scratch`) the from-scratch
+/// reference engine with the given options.
 std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options,
-                                      bool scratch) {
-  constexpr int kWidth = 8, kHeight = 5;
+                                      bool scratch,
+                                      const WalkInstance& instance = kSparse) {
+  constexpr int kHeight = 5;
   auto setup = std::make_unique<DiffSetup>();
-  const auto masks = region_masks(kWidth, kHeight, {3});
+  const auto masks =
+      region_masks(instance.width, kHeight, {instance.offset + 3});
   auto shapes = std::make_shared<std::vector<ShapeFootprint>>();
-  shapes->push_back(rect_shape(2, 2));
-  shapes->push_back(rect_shape(3, 1));
+  shapes->push_back(rect_shape(instance.square, instance.square));
+  shapes->push_back(rect_shape(instance.bar_width, instance.bar_height));
   shapes->push_back(mixed_shape());
   std::vector<std::vector<Point>> anchors;
-  for (const ShapeFootprint& shape : *shapes)
+  for (const ShapeFootprint& shape : *shapes) {
     anchors.push_back(compute_valid_anchors(masks, shape));
+    std::erase_if(anchors.back(), [&](const Point& a) {
+      return a.x < instance.offset ||
+             a.x + shape.bounding_box().width > instance.offset + instance.span;
+    });
+  }
   for (int i = 0; i < 4; ++i)
     setup->objects.push_back(make_object(setup->space, shapes, anchors));
   if (scratch) {
-    reference::post_non_overlap_scratch(setup->space, setup->objects, kWidth,
-                                        kHeight, options);
+    reference::post_non_overlap_scratch(setup->space, setup->objects,
+                                        instance.width, kHeight, options);
   } else {
-    post_non_overlap(setup->space, setup->objects, kWidth, kHeight, options);
+    post_non_overlap(setup->space, setup->objects, instance.width, kHeight,
+                     options);
   }
   return setup;
+}
+
+/// One 150-step walk from `seed` through the production engine (`incr`)
+/// and the reference engine (`scratch`), built alike.
+void random_walk(std::unique_ptr<DiffSetup> incr,
+                 std::unique_ptr<DiffSetup> scratch, std::uint64_t seed) {
+  std::mt19937 rng(static_cast<unsigned>(seed * 7919 + 1));
+
+  const auto domains_match = [&]() {
+    for (std::size_t i = 0; i < incr->objects.size(); ++i) {
+      const cp::Domain& da = incr->space.dom(incr->objects[i].var());
+      const cp::Domain& db = scratch->space.dom(scratch->objects[i].var());
+      if (!(da == db)) return false;
+    }
+    return true;
+  };
+  const auto random_value = [&](const cp::Domain& dom) {
+    std::vector<int> values;
+    dom.for_each([&](int v) { values.push_back(v); });
+    return values[rng() % values.size()];
+  };
+
+  ASSERT_EQ(incr->space.propagate(), scratch->space.propagate());
+  ASSERT_TRUE(domains_match()) << "seed " << seed << " at root";
+
+  int depth = 0;
+  for (int step = 0; step < 150; ++step) {
+    const unsigned op = rng() % 4;
+    if (op == 3) {  // pop
+      if (depth == 0) continue;
+      incr->space.pop();
+      scratch->space.pop();
+      --depth;
+      ASSERT_TRUE(domains_match())
+          << "seed " << seed << " step " << step << " after pop";
+      continue;
+    }
+    // Pick a still-open object (walk ends when everything is assigned).
+    std::vector<std::size_t> open;
+    for (std::size_t i = 0; i < incr->objects.size(); ++i)
+      if (!incr->space.assigned(incr->objects[i].var())) open.push_back(i);
+    if (open.empty()) break;
+    const std::size_t obj = open[rng() % open.size()];
+    const cp::VarId va = incr->objects[obj].var();
+    const cp::VarId vb = scratch->objects[obj].var();
+    const int value = random_value(incr->space.dom(va));
+
+    incr->space.push();
+    scratch->space.push();
+    ++depth;
+    if (op == 0) {  // assign
+      incr->space.assign(va, value);
+      scratch->space.assign(vb, value);
+    } else {  // remove one value (op 1 and 2: removals twice as likely)
+      incr->space.remove(va, value);
+      scratch->space.remove(vb, value);
+    }
+    const bool ok_a = incr->space.propagate();
+    const bool ok_b = scratch->space.propagate();
+    ASSERT_EQ(ok_a, ok_b)
+        << "seed " << seed << " step " << step << " op " << op << " obj "
+        << obj << " value " << value;
+    if (!ok_a) {
+      incr->space.pop();
+      scratch->space.pop();
+      --depth;
+      continue;
+    }
+    ASSERT_TRUE(domains_match())
+        << "seed " << seed << " step " << step << " op " << op << " obj "
+        << obj << " value " << value;
+  }
 }
 
 // Random push/assign/remove/pop walks through both engines side by side:
@@ -354,84 +457,36 @@ std::unique_ptr<DiffSetup> diff_setup(const NonOverlapOptions& options,
 // failed, every domain must be identical. This is the soundness *and*
 // completeness check for the incremental kernel — a missed pruning or an
 // over-pruning after backtracking both show up as a domain divergence.
-// Both modes are walked: kernel mode (compulsory parts everywhere) and the
-// forward-checking mode ablation A3 runs (no compulsory parts).
+// Four arms, ten walks each:
+//   - kernel mode, compulsory parts on every domain of at most 64 values;
+//   - the forward-checking mode ablation A3 runs (no compulsory parts);
+//   - kernel mode at the production threshold (24) on the crowded
+//     instance, where domains cross the threshold during the walk and
+//     parts come out empty or not;
+//   - kernel mode on the crowded instance inside an 80-column region.
 TEST(NonOverlapDifferential, RandomWalksMatchFromScratchOracle) {
-  for (std::uint64_t walk = 0; walk < 20; ++walk) {
-    const std::uint64_t seed = walk % 10;
-    const bool compulsory = walk < 10;
-    SCOPED_TRACE(compulsory ? "kernel mode" : "forward-checking mode");
-    NonOverlapOptions options;
-    options.use_compulsory_parts = compulsory;
-    options.compulsory_threshold = 64;  // soft parts everywhere
-
-    auto incr = diff_setup(options, /*scratch=*/false);
-    auto scratch = diff_setup(options, /*scratch=*/true);
-    std::mt19937 rng(static_cast<unsigned>(seed * 7919 + 1));
-
-    const auto domains_match = [&]() {
-      for (std::size_t i = 0; i < incr->objects.size(); ++i) {
-        const cp::Domain& da = incr->space.dom(incr->objects[i].var());
-        const cp::Domain& db = scratch->space.dom(scratch->objects[i].var());
-        if (!(da == db)) return false;
-      }
-      return true;
-    };
-    const auto random_value = [&](const cp::Domain& dom) {
-      std::vector<int> values;
-      dom.for_each([&](int v) { values.push_back(v); });
-      return values[rng() % values.size()];
-    };
-
-    ASSERT_EQ(incr->space.propagate(), scratch->space.propagate());
-    ASSERT_TRUE(domains_match()) << "seed " << seed << " at root";
-
-    int depth = 0;
-    for (int step = 0; step < 150; ++step) {
-      const unsigned op = rng() % 4;
-      if (op == 3) {  // pop
-        if (depth == 0) continue;
-        incr->space.pop();
-        scratch->space.pop();
-        --depth;
-        ASSERT_TRUE(domains_match())
-            << "seed " << seed << " step " << step << " after pop";
-        continue;
-      }
-      // Pick a still-open object (walk ends when everything is assigned).
-      std::vector<std::size_t> open;
-      for (std::size_t i = 0; i < incr->objects.size(); ++i)
-        if (!incr->space.assigned(incr->objects[i].var())) open.push_back(i);
-      if (open.empty()) break;
-      const std::size_t obj = open[rng() % open.size()];
-      const cp::VarId va = incr->objects[obj].var();
-      const cp::VarId vb = scratch->objects[obj].var();
-      const int value = random_value(incr->space.dom(va));
-
-      incr->space.push();
-      scratch->space.push();
-      ++depth;
-      if (op == 0) {  // assign
-        incr->space.assign(va, value);
-        scratch->space.assign(vb, value);
-      } else {  // remove one value (op 1 and 2: removals twice as likely)
-        incr->space.remove(va, value);
-        scratch->space.remove(vb, value);
-      }
-      const bool ok_a = incr->space.propagate();
-      const bool ok_b = scratch->space.propagate();
-      ASSERT_EQ(ok_a, ok_b)
-          << "seed " << seed << " step " << step << " op " << op << " obj "
-          << obj << " value " << value;
-      if (!ok_a) {
-        incr->space.pop();
-        scratch->space.pop();
-        --depth;
-        continue;
-      }
-      ASSERT_TRUE(domains_match())
-          << "seed " << seed << " step " << step << " op " << op << " obj "
-          << obj << " value " << value;
+  struct Arm {
+    const char* name;
+    bool compulsory;
+    int threshold;
+    WalkInstance instance;
+  };
+  const Arm arms[] = {
+      {"kernel mode", true, 64, kSparse},
+      {"forward-checking mode", false, 64, kSparse},
+      {"kernel mode, production threshold", true,
+       NonOverlapOptions{}.compulsory_threshold, kCrowded},
+      {"kernel mode, 80-column region", true, 64, kCrowdedWide},
+  };
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      NonOverlapOptions options;
+      options.use_compulsory_parts = arm.compulsory;
+      options.compulsory_threshold = arm.threshold;
+      random_walk(diff_setup(options, /*scratch=*/false, arm.instance),
+                  diff_setup(options, /*scratch=*/true, arm.instance), seed);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

@@ -292,6 +292,23 @@ INSTANTIATE_TEST_SUITE_P(
                       "endmodule\n",                       // stray end
                       "garbage\n"));                       // unknown directive
 
+// `shape` and `endmodule` take no fields; a stray word is refused at its
+// line rather than ignored.
+TEST(Mlf, RejectsFieldsAfterShapeAndEndmodule) {
+  const auto message = [](const char* text) -> std::string {
+    try {
+      (void)parse_mlf_string(text);
+    } catch (const InvalidInput& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message("module a\nshape extra words\nC\nendshape\nendmodule\n"),
+            "mlf:2: expected: shape");
+  EXPECT_EQ(message("module a\nshape\nC\nendshape\nendmodule trailing\n"),
+            "mlf:5: expected: endmodule");
+}
+
 TEST(Mlf, FileRoundTrip) {
   GeneratorParams params;
   ModuleGenerator generator(params, 3);

@@ -1,8 +1,16 @@
-# Runs COMMAND with the single argument ARG and requires exit status
-# EXPECT_EXIT and combined stdout/stderr matching the regex EXPECT_OUTPUT.
+# Runs COMMAND with the single argument ARG (or, when ARGS is set, with the
+# arguments of the command line ARGS, split like a POSIX shell splits them)
+# and requires exit status EXPECT_EXIT and combined stdout/stderr matching
+# the regex EXPECT_OUTPUT.
 # Usage: cmake -DCOMMAND=<exe> -DARG=<arg> -DEXPECT_EXIT=<n>
 #              -DEXPECT_OUTPUT=<regex> -P expect_exit.cmake
-execute_process(COMMAND ${COMMAND} ${ARG}
+#        cmake -DCOMMAND=<exe> "-DARGS=<arg> <arg> ..." ... -P expect_exit.cmake
+if(DEFINED ARGS)
+  separate_arguments(command_args UNIX_COMMAND "${ARGS}")
+else()
+  set(command_args "${ARG}")
+endif()
+execute_process(COMMAND ${COMMAND} ${command_args}
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)

@@ -111,6 +111,7 @@
 #include <unordered_map>
 
 #include "rrplace.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -428,12 +429,6 @@ int run_online_trace(const CliOptions& cli,
       if (m.name() == name) return &m;
     return nullptr;
   };
-  auto trace_error = [&](long line_no, const std::string& what) {
-    std::cerr << "error: " << cli.online_trace_path << ':' << line_no << ": "
-              << what << '\n';
-    return 2;
-  };
-
   rr::baseline::OnlineOptions online;
   online.use_alternatives = cli.alternatives;
   online.policy = cli.online_policy;
@@ -448,24 +443,20 @@ int run_online_trace(const CliOptions& cli,
 
   std::ostream& human = cli.stats_json_path == "-" ? std::cerr : std::cout;
   rr::Stopwatch watch;
-  long line_no = 0, places = 0, removes = 0, accepted = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream tokens(line);
-    std::string op;
-    if (!(tokens >> op) || op.front() == '#') continue;
-    if (op == "place") {
-      int id = 0;
-      std::string name;
-      if (!(tokens >> id >> name))
-        return trace_error(line_no, "expected: place <id> <module>");
+  long places = 0, removes = 0, accepted = 0;
+  // Errors throw InvalidInput("<path>:<line>: <what>") to main's catch
+  // (exit 2), like the library formats.
+  rr::LineLexer line(in, cli.online_trace_path);
+  while (line.next()) {
+    if (line[0] == "place") {
+      const char* usage = "expected: place <id> <module>";
+      if (line.size() != 3) line.fail(usage);
+      const int id = line.integer(1, usage);
+      const std::string name(line[2]);
       if (placer.is_placed(id))
-        return trace_error(line_no,
-                           "instance " + std::to_string(id) + " already live");
+        line.fail("instance " + std::to_string(id) + " already live");
       const rr::model::Module* module = find_module(name);
-      if (module == nullptr)
-        return trace_error(line_no, "no module named '" + name + "'");
+      if (module == nullptr) line.fail("no module named '" + name + "'");
       ++places;
       const auto placement = placer.place(id, *module);
       if (placement) {
@@ -481,18 +472,18 @@ int run_online_trace(const CliOptions& cli,
           human << "rejected\n";
         }
       }
-    } else if (op == "remove") {
-      int id = 0;
-      if (!(tokens >> id)) return trace_error(line_no, "expected: remove <id>");
+    } else if (line[0] == "remove") {
+      const char* usage = "expected: remove <id>";
+      if (line.size() != 2) line.fail(usage);
+      const int id = line.integer(1, usage);
       if (!placer.is_placed(id))
-        return trace_error(line_no,
-                           "instance " + std::to_string(id) + " is not live");
+        line.fail("instance " + std::to_string(id) + " is not live");
       ++removes;
       placer.remove(id);
       live_modules.erase(id);
       if (!cli.quiet) human << "  remove " << id << '\n';
     } else {
-      return trace_error(line_no, "unknown trace op '" + op + "'");
+      line.fail("unknown trace op '" + std::string(line[0]) + "'");
     }
   }
   const double seconds = watch.seconds();
