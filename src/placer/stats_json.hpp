@@ -1,7 +1,7 @@
 // Machine-readable solver statistics: assemble the `rrplace-stats-v1` JSON
 // document from a PlacementOutcome.
 //
-// Consumers: `rrplace_cli --stats-json`, the bench harnesses' BENCH_*.json
+// Consumers: `rrplace_cli <cmd> --stats-json`, the benches' BENCH_*.json
 // records, and the CI benchmark-smoke job (validated by
 // tools/check_stats_json). Schema, stable across minor versions:
 //

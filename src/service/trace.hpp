@@ -1,5 +1,5 @@
 // Serve-trace grammar: the multi-tenant request language shared by
-// `rrplace_cli --serve-trace`, the workload generator (src/sim emits it),
+// `rrplace_cli serve`, the workload generator (src/sim, `rrplace_cli gen`),
 // and the soak/replay harnesses.
 //
 //   tenants <n>                       # header; before the first request

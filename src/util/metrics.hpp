@@ -8,7 +8,7 @@
 //      additionally cache the flag at Space construction so they pay
 //      nothing per propagation.
 //   2. Machine readable. Snapshots serialize to JSON (util/json) and feed
-//      `rrplace_cli --stats-json`, the BENCH_*.json records and the CI
+//      `rrplace_cli <cmd> --stats-json`, the BENCH_*.json records and the CI
 //      benchmark artifacts.
 //   3. Mergeable. Portfolio workers and LNS iterations record into local
 //      registries or stat structs and merge into one document at the end.

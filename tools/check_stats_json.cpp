@@ -69,7 +69,7 @@ void check_stats_v1(const Value& doc) {
           "metrics.counters must be an object");
   require(metrics.at("timers").is_object(),
           "metrics.timers must be an object");
-  // The fault section is optional (rrplace_cli --fault-trace only), but
+  // The fault section is optional (rrplace_cli faults only), but
   // when present it must carry the availability-replay contract.
   if (doc.contains("fault")) {
     const Value& fault = doc.at("fault");
@@ -95,7 +95,7 @@ void check_stats_v1(const Value& doc) {
     for (const char* key : {"nets", "weight", "wirelength2"})
       check_number(comm, key);
   }
-  // The service section is optional (rrplace_cli --serve-trace only), but
+  // The service section is optional (rrplace_cli serve/soak only), but
   // when present it must carry the multi-tenant replay contract.
   if (doc.contains("service")) {
     const Value& service = doc.at("service");
@@ -125,7 +125,7 @@ void check_stats_v1(const Value& doc) {
                             "queue", "stopped", "submit_retries", "shed_rate"})
       check_number(shed, key);
   }
-  // The soak section is optional (rrplace_cli --soak only), but when
+  // The soak section is optional (rrplace_cli soak only), but when
   // present it must carry the invariant-audit contract.
   if (doc.contains("soak")) {
     const Value& soak = doc.at("soak");

@@ -1,452 +1,454 @@
 // rrplace command-line tool — the "interactive tool" use the paper's
 // conclusion targets: place a module library on a fabric description and
-// print/emit the floorplan.
+// print/emit the floorplan, or replay online, fault, service and generated
+// workloads on it.
 //
-//   rrplace_cli --fabric F.fdf --modules M.mlf [options]
+//   rrplace_cli <command> [arguments] --fabric F.fdf --modules M.mlf [options]
 //
-// Options:
-//   --no-alternatives         place base layouts only
-//   --time-limit <seconds>    solver budget (default 5)
-//   --mode bnb|lns|auto|restarts
-//                             search mode (default auto)
-//   --workers <n>             portfolio width (default 1)
-//   --seed <n>                random seed (default 1)
-//   --svg <path>              also write an SVG floorplan
-//   --stats-json <path>       write solver statistics (rrplace-stats-v1
-//                             JSON: per-propagator-kind counters, search
-//                             stats, placer metrics); "-" for stdout
-//   --anchors <module>        print the valid-anchor mask of a module's
-//                             base shape instead of solving (Fig. 4b view)
-//   --online-trace <path>     replay an online place/remove trace through
-//                             the OnlinePlacer instead of solving offline;
-//                             lines: "place <id> <module>", "remove <id>",
-//                             "#" comments
-//   --defrag <seconds>        per-request defragmentation deadline for
-//                             --online-trace or --soak (0 = off, plain
-//                             first-fit)
-//   --online-policy <p>       anchor-selection policy for the online placer
-//                             (firstfit | bestfit | bottomleft | commcost;
-//                             default firstfit); applies to --online-trace
-//                             and --serve-trace; commcost requires --nets
-//   --faults <path>           apply a fault trace's (.fft) resulting fault
-//                             map to the region before solving or replaying:
-//                             every placer refuses the faulty tiles
-//   --fault-trace <path>      availability replay: place the modules
-//                             offline, admit them into the fault-recovery
-//                             manager, then feed the .fft events through
-//                             tiered recovery (swap / re-place / defrag)
-//   --fault-deadline <s>      per-event recovery deadline for --fault-trace
-//                             (default 0.1; 0 = unlimited)
-//   --serve-trace <path>      replay a multi-tenant request trace through
-//                             the in-process placement service (every
-//                             tenant gets its own copy of the fabric);
-//                             lines: "tenants <n>",
-//                             "place <tenant> <id> <module>",
-//                             "remove <tenant> <id>",
-//                             "fault <tenant> tile <x> <y> [kind]" (also
-//                             column/rect in the .fft grammar),
-//                             "repair <tenant> <x> <y>",
-//                             "repair-transient <tenant>", "#" comments
-//   --serve-workers <n>       service worker pool width (default 4);
-//                             also applies to --soak
-//   --serve-queue <n>         per-worker queue capacity (default 256);
-//                             also applies to --soak
-//   --soak <n>                soak mode: generate an adversarial workload of
-//                             n requests (src/sim: MMPP bursts, heavy-tailed
-//                             sizes/lifetimes, fault storms), replay it
-//                             through the placement service, and audit
-//                             end-state invariants at every epoch boundary
-//                             (accounting identity, no leaked tiles,
-//                             instance conservation, no placements on faulty
-//                             tiles); any violation exits nonzero
-//   --soak-tenants <n>        tenants in the generated workload (default 4)
-//   --soak-epoch <n>          requests per epoch between invariant audits
-//                             (default 2000)
-//   --soak-quota <n>          per-tenant inflight quota; submits over it are
-//                             shed with kShedQuota (0 = unlimited)
-//   --soak-deadline-ms <x>    priority-class deadline base for generated
-//                             place requests; class k gets base * 4^k ms and
-//                             requests whose queue wait consumes the budget
-//                             are shed (0 = no deadlines)
-//   --soak-retry <n>          submit retry budget on a full shard queue
-//                             (negative = block forever; default -1)
-//   --soak-floor <f>          minimum per-tenant completed fraction audited
-//                             at the end of the horizon (0 = off)
-//   --gen-trace <path>        with --soak: write the generated trace text
-//                             (serve-trace grammar) and exit without
-//                             replaying; "-" for stdout
-//   --no-serve-cache          disable the shared solve-context cache
-//                             (every request pays the full anchor scan)
-//   --serve-cache-cap <n>     solve-context cache LRU capacity (default
-//                             32; 0 = unbounded)
-//   --nets <path>             inter-module communication nets (.net): the
-//                             offline placer adds a weighted-HPWL term to
-//                             its objective, the online commcost policy
-//                             ranks anchors by it, and fault recovery
-//                             prefers spots near net partners
-//   --comm-weight <w>         weight of the communication term relative to
-//                             the area objective (default 1; 0 disables the
-//                             term — the zero-weight oracle); requires
-//                             --nets
-//   --bus-period <p>          overlay horizontal bus lanes every p rows on
-//                             the loaded fabric (comm/bus model)
-//   --bus-offset <r>          first bus lane row (default 0); requires
-//                             --bus-period
-//   --bus-attach <row>        rewrite every module so logic in this shape
-//                             row becomes bus-macro demand (modules then
-//                             anchor on lanes); requires --bus-period; a
-//                             row outside any shape is a model error
-//   --quiet                   suppress the ASCII floorplan / trace log
-//
-// The trace modes are mutually exclusive, and flags that only make sense
-// for one mode are rejected with the others (see check_conflicts).
+// Every command parses its arguments against its own flag table (commands()
+// below): a flag the command does not read is an error that names both, and
+// `rrplace_cli <command> --help` prints the table.
 #include <charconv>
-#include <cstring>
+#include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "rrplace.hpp"
 #include "util/strings.hpp"
 
 namespace {
 
-struct CliOptions {
-  std::string fabric_path;
-  std::string modules_path;
-  bool alternatives = true;
-  double time_limit = 5.0;
-  rr::placer::PlacerMode mode = rr::placer::PlacerMode::kAuto;
-  int workers = 1;
-  std::uint64_t seed = 1;
-  std::string svg_path;
-  std::string stats_json_path;
-  std::string anchors_module;
-  std::string online_trace_path;
-  double defrag_seconds = 0.0;
-  rr::AnchorPolicy online_policy = rr::AnchorPolicy::kFirstFit;
-  std::string faults_path;
-  std::string fault_trace_path;
-  double fault_deadline = 0.1;
-  std::string serve_trace_path;
-  int serve_workers = 4;
-  std::size_t serve_queue = 256;
-  bool serve_cache = true;
-  std::size_t serve_cache_cap = rr::service::SolveContextCache::kDefaultCapacity;
-  long soak_requests = 0;  // > 0 selects soak mode
-  int soak_tenants = 4;
-  long soak_epoch = 2000;
-  int soak_quota = 0;
-  double soak_deadline_ms = 0.0;
-  int soak_retry = -1;
-  double soak_floor = 0.0;
-  std::string gen_trace_path;
-  std::string nets_path;
-  long comm_weight = 1;
-  int bus_period = 0;
-  int bus_offset = 0;
-  int bus_attach = 0;
-  bool quiet = false;
-  // Which flags appeared explicitly — conflict checks must catch an
-  // explicit "--mode restarts" with --serve-trace even though kAuto is
-  // also the default, so defaults alone can't tell.
-  bool mode_set = false;
-  bool defrag_set = false;
-  bool serve_tuning_set = false;
-  bool soak_tuning_set = false;
-  bool online_policy_set = false;
-  bool comm_weight_set = false;
-  bool bus_offset_set = false;
-  bool bus_attach_set = false;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Upper bound of every thread-count flag, checked before any thread starts.
+constexpr double kMaxThreads = 256;
+
+// The alternatives of --mode and --policy, in the order of the values they
+// select.
+constexpr const char* kModeChoices = "bnb|lns|auto|restarts";
+constexpr rr::placer::PlacerMode kModes[] = {
+    rr::placer::PlacerMode::kBranchAndBound, rr::placer::PlacerMode::kLns,
+    rr::placer::PlacerMode::kAuto, rr::placer::PlacerMode::kRestarts};
+constexpr const char* kPolicyChoices = "firstfit|bestfit|bottomleft|commcost";
+constexpr rr::AnchorPolicy kPolicies[] = {
+    rr::AnchorPolicy::kFirstFit, rr::AnchorPolicy::kBestFit,
+    rr::AnchorPolicy::kBottomLeft, rr::AnchorPolicy::kCommCost};
+
+enum class Kind {
+  kSwitch,  // present or absent, no value
+  kText,    // a path or name, taken verbatim
+  kInt,     // a whole int within [min, max]
+  kSeed,    // any unsigned 64-bit value
+  kReal,    // a finite double within [min, max]
+  kChoice,  // one of the alternatives listed in `value`
 };
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      "usage: rrplace_cli --fabric F.fdf --modules M.mlf [options]\n"
-      "  --no-alternatives, --time-limit S, --mode bnb|lns|auto|restarts,\n"
-      "  --workers N, --seed N, --svg PATH,\n"
-      "  --stats-json PATH|-, --anchors MODULE,\n"
-      "  --online-trace PATH, --defrag S,\n"
-      "  --online-policy firstfit|bestfit|bottomleft|commcost,\n"
-      "  --faults PATH, --fault-trace PATH, --fault-deadline S,\n"
-      "  --serve-trace PATH, --serve-workers N, --serve-queue N,\n"
-      "  --no-serve-cache, --serve-cache-cap N,\n"
-      "  --soak N, --soak-tenants N, --soak-epoch N, --soak-quota N,\n"
-      "  --soak-deadline-ms X, --soak-retry N, --soak-floor F,\n"
-      "  --gen-trace PATH,\n"
-      "  --nets PATH, --comm-weight W,\n"
-      "  --bus-period P, --bus-offset R, --bus-attach ROW, --quiet\n";
-  std::exit(error == nullptr ? 0 : 2);
-}
+// One row of a command's flag table. Positional arguments are rows too:
+// their names carry no "--" and the bare tokens fill them in order.
+struct Flag {
+  std::string_view name;
+  Kind kind;
+  std::string_view value;  // placeholder in --help; "a|b|c" for kChoice
+  std::string_view help;
+  std::string fallback{};  // value when the flag is absent ("" = none)
+  double min = -kInf;
+  double max = kInf;
+  std::string_view needs{};  // a flag this one requires
+  bool required = false;     // positional rows are always required
 
-const char* policy_name(rr::AnchorPolicy policy) {
-  switch (policy) {
-    case rr::AnchorPolicy::kFirstFit: return "firstfit";
-    case rr::AnchorPolicy::kBestFit: return "bestfit";
-    case rr::AnchorPolicy::kBottomLeft: return "bottomleft";
-    case rr::AnchorPolicy::kCommCost: return "commcost";
+  [[nodiscard]] bool positional() const { return !name.starts_with("--"); }
+  // "--name" for options, "<name>" for positionals.
+  [[nodiscard]] std::string display() const {
+    std::string out;
+    if (!positional()) return out.append(name);
+    return out.append("<").append(name).append(">");
   }
-  return "firstfit";
+};
+
+struct Inputs;
+class Args;
+
+struct Command {
+  std::string_view name;
+  std::string_view summary;
+  std::vector<Flag> flags;
+  int (*run)(const Args&, const Inputs&);
+
+  [[nodiscard]] const Flag* find(std::string_view flag) const {
+    for (const Flag& row : flags)
+      if (row.name == flag) return &row;
+    return nullptr;
+  }
+};
+
+// Position of `text` among a kChoice row's "a|b|c" alternatives; -1 when it
+// is none of them.
+int choice_index(const Flag& row, std::string_view text) {
+  std::string_view rest = row.value;
+  for (int index = 0;; ++index) {
+    const std::size_t bar = rest.find('|');
+    if (rest.substr(0, bar) == text) return index;
+    if (bar == std::string_view::npos) return -1;
+    rest.remove_prefix(bar + 1);
+  }
 }
 
-// Conflicting-flag rejection: one line on stderr, nonzero exit, no usage
-// dump — the combination is well-formed syntax, just meaningless, and the
-// caller (likely a script) wants the reason, not the flag list.
-[[noreturn]] void conflict(const std::string& what) {
-  std::cerr << "error: conflicting options: " << what << '\n';
-  std::exit(2);
-}
-
-// The three trace modes are mutually exclusive with each other and with
-// --anchors, and mode-specific tuning flags are rejected outside their
-// mode instead of being silently ignored.
-void check_conflicts(const CliOptions& options) {
-  const bool online = !options.online_trace_path.empty();
-  const bool fault = !options.fault_trace_path.empty();
-  const bool serve = !options.serve_trace_path.empty();
-  const bool soak = options.soak_requests > 0;
-  const bool anchors = !options.anchors_module.empty();
-  if (online && fault) conflict("--online-trace with --fault-trace");
-  if (serve && online) conflict("--serve-trace with --online-trace");
-  if (serve && fault) conflict("--serve-trace with --fault-trace");
-  if (soak && (online || fault || serve))
-    conflict("--soak with another trace replay mode");
-  if (anchors && (online || fault || serve || soak))
-    conflict("--anchors with a trace replay mode");
-  // The service runs the online first-fit placer per tenant; the offline
-  // search mode can't apply, so an explicit --mode is a confused command
-  // line even when it names the default.
-  if ((serve || soak) && options.mode_set)
-    conflict("--serve-trace/--soak with --mode");
-  // Tenants own private fabrics built from the pristine description;
-  // pre-damage via --faults would be silently dropped.
-  if ((serve || soak) && !options.faults_path.empty())
-    conflict("--serve-trace/--soak with --faults (pre-damage is per-tenant: "
-             "use fault events in the trace)");
-  if (options.defrag_set && !online && !soak)
-    conflict("--defrag without --online-trace or --soak");
-  // The policy steers the OnlinePlacer, which only runs inside the trace
-  // modes that host it.
-  if (options.online_policy_set && !online && !serve && !soak)
-    conflict("--online-policy without a trace replay mode");
-  if (options.serve_tuning_set && !serve && !soak)
-    conflict("--serve-workers/--serve-queue/--no-serve-cache/"
-             "--serve-cache-cap without --serve-trace or --soak");
-  if (options.soak_tuning_set && !soak)
-    conflict("--soak-* or --gen-trace without --soak");
-  // The communication term needs nets to price; a bare weight (or a
-  // commcost policy with nothing to rank by) is a confused command line.
-  if (options.comm_weight_set && options.nets_path.empty())
-    conflict("--comm-weight without --nets");
-  if (options.online_policy == rr::AnchorPolicy::kCommCost &&
-      options.nets_path.empty())
-    conflict("--online-policy commcost without --nets");
-  // The bus overlay flags modify the lanes --bus-period creates; without a
-  // period there are no lanes to offset or attach to.
-  if (options.bus_offset_set && options.bus_period <= 0)
-    conflict("--bus-offset without --bus-period");
-  if (options.bus_attach_set && options.bus_period <= 0)
-    conflict("--bus-attach without --bus-period");
-}
-
-// Checked numeric parsing: the whole token must parse and satisfy the
-// bound, otherwise the program exits through usage() instead of silently
-// running with a garbage (atoi/atof would yield 0) value.
+// Whole-token number parsing: trailing garbage, an empty token and values
+// outside T's range all fail.
 template <typename T>
-T parse_number(const char* text, const char* what, T min_value) {
+std::optional<T> parse_number(std::string_view text) {
   T value{};
-  const char* const end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end)
-    usage((std::string(what) + ": invalid number '" + text + "'").c_str());
-  if (value < min_value)
-    usage((std::string(what) + ": value " + text + " is below the minimum")
-              .c_str());
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || ptr != text.data() + text.size()) return {};
   return value;
 }
 
-CliOptions parse_args(int argc, char** argv) {
-  CliOptions options;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing argument value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fabric") options.fabric_path = need_value(i);
-    else if (arg == "--modules") options.modules_path = need_value(i);
-    else if (arg == "--no-alternatives") options.alternatives = false;
-    else if (arg == "--time-limit")
-      options.time_limit =
-          parse_number<double>(need_value(i), "--time-limit", 0.0);
-    else if (arg == "--workers")
-      options.workers = parse_number<int>(need_value(i), "--workers", 1);
-    else if (arg == "--seed")
-      options.seed = parse_number<std::uint64_t>(need_value(i), "--seed", 0);
-    else if (arg == "--svg") options.svg_path = need_value(i);
-    else if (arg == "--stats-json") options.stats_json_path = need_value(i);
-    else if (arg == "--anchors") options.anchors_module = need_value(i);
-    else if (arg == "--online-trace") options.online_trace_path = need_value(i);
-    else if (arg == "--defrag") {
-      options.defrag_seconds =
-          parse_number<double>(need_value(i), "--defrag", 0.0);
-      options.defrag_set = true;
-    }
-    else if (arg == "--faults") options.faults_path = need_value(i);
-    else if (arg == "--fault-trace") options.fault_trace_path = need_value(i);
-    else if (arg == "--fault-deadline")
-      options.fault_deadline =
-          parse_number<double>(need_value(i), "--fault-deadline", 0.0);
-    else if (arg == "--serve-trace") options.serve_trace_path = need_value(i);
-    else if (arg == "--serve-workers") {
-      options.serve_workers =
-          parse_number<int>(need_value(i), "--serve-workers", 1);
-      options.serve_tuning_set = true;
-    }
-    else if (arg == "--serve-queue") {
-      options.serve_queue = parse_number<std::size_t>(
-          need_value(i), "--serve-queue", std::size_t{1});
-      options.serve_tuning_set = true;
-    }
-    else if (arg == "--no-serve-cache") {
-      options.serve_cache = false;
-      options.serve_tuning_set = true;
-    }
-    else if (arg == "--serve-cache-cap") {
-      options.serve_cache_cap = parse_number<std::size_t>(
-          need_value(i), "--serve-cache-cap", std::size_t{0});
-      options.serve_tuning_set = true;
-    }
-    else if (arg == "--soak")
-      options.soak_requests = parse_number<long>(need_value(i), "--soak", 1L);
-    else if (arg == "--soak-tenants") {
-      options.soak_tenants =
-          parse_number<int>(need_value(i), "--soak-tenants", 1);
-      options.soak_tuning_set = true;
-    }
-    else if (arg == "--soak-epoch") {
-      options.soak_epoch = parse_number<long>(need_value(i), "--soak-epoch", 1L);
-      options.soak_tuning_set = true;
-    }
-    else if (arg == "--soak-quota") {
-      options.soak_quota = parse_number<int>(need_value(i), "--soak-quota", 0);
-      options.soak_tuning_set = true;
-    }
-    else if (arg == "--soak-deadline-ms") {
-      options.soak_deadline_ms =
-          parse_number<double>(need_value(i), "--soak-deadline-ms", 0.0);
-      options.soak_tuning_set = true;
-    }
-    else if (arg == "--soak-retry") {
-      options.soak_retry =
-          parse_number<int>(need_value(i), "--soak-retry", -1);
-      options.soak_tuning_set = true;
-    }
-    else if (arg == "--soak-floor") {
-      options.soak_floor =
-          parse_number<double>(need_value(i), "--soak-floor", 0.0);
-      options.soak_tuning_set = true;
-    }
-    else if (arg == "--gen-trace") {
-      options.gen_trace_path = need_value(i);
-      options.soak_tuning_set = true;
-    }
-    else if (arg == "--online-policy") {
-      options.online_policy_set = true;
-      const std::string policy = need_value(i);
-      if (policy == "firstfit") options.online_policy = rr::AnchorPolicy::kFirstFit;
-      else if (policy == "bestfit") options.online_policy = rr::AnchorPolicy::kBestFit;
-      else if (policy == "bottomleft")
-        options.online_policy = rr::AnchorPolicy::kBottomLeft;
-      else if (policy == "commcost")
-        options.online_policy = rr::AnchorPolicy::kCommCost;
-      else usage("unknown online policy");
-    }
-    else if (arg == "--nets") options.nets_path = need_value(i);
-    else if (arg == "--comm-weight") {
-      options.comm_weight =
-          parse_number<long>(need_value(i), "--comm-weight", 0L);
-      options.comm_weight_set = true;
-    }
-    else if (arg == "--bus-period")
-      options.bus_period = parse_number<int>(need_value(i), "--bus-period", 1);
-    else if (arg == "--bus-offset") {
-      options.bus_offset = parse_number<int>(need_value(i), "--bus-offset", 0);
-      options.bus_offset_set = true;
-    }
-    else if (arg == "--bus-attach") {
-      options.bus_attach = parse_number<int>(need_value(i), "--bus-attach", 0);
-      options.bus_attach_set = true;
-    }
-    else if (arg == "--quiet") options.quiet = true;
-    else if (arg == "--mode") {
-      options.mode_set = true;
-      const std::string mode = need_value(i);
-      if (mode == "bnb") options.mode = rr::placer::PlacerMode::kBranchAndBound;
-      else if (mode == "lns") options.mode = rr::placer::PlacerMode::kLns;
-      else if (mode == "auto") options.mode = rr::placer::PlacerMode::kAuto;
-      else if (mode == "restarts")
-        options.mode = rr::placer::PlacerMode::kRestarts;
-      else usage("unknown mode");
-    } else if (arg == "--help" || arg == "-h") usage();
-    else usage(("unknown option: " + arg).c_str());
+// The parsed command line of one command. Values were checked against their
+// rows while parsing; an absent flag reads as its row's fallback, and asking
+// for a flag outside the table is a programming error.
+class Args {
+ public:
+  explicit Args(const Command& command) : command(command) {}
+
+  const Command& command;
+
+  [[nodiscard]] bool has(std::string_view flag) const {
+    return values_.count(flag) != 0;
   }
-  if (options.fabric_path.empty() || options.modules_path.empty())
-    usage("--fabric and --modules are required");
-  check_conflicts(options);
-  return options;
+  [[nodiscard]] std::string text(std::string_view flag) const {
+    return std::string(raw(flag));
+  }
+  [[nodiscard]] int integer(std::string_view flag) const {
+    return parse_number<int>(raw(flag)).value();
+  }
+  [[nodiscard]] double real(std::string_view flag) const {
+    return parse_number<double>(raw(flag)).value();
+  }
+  [[nodiscard]] std::uint64_t seed() const {
+    return parse_number<std::uint64_t>(raw("--seed")).value();
+  }
+  [[nodiscard]] std::size_t choice(std::string_view flag) const {
+    const std::string_view value = raw(flag);
+    return static_cast<std::size_t>(choice_index(*command.find(flag), value));
+  }
+
+  void set(std::string_view flag, std::string_view value) {
+    values_[flag] = value;
+  }
+
+ private:
+  [[nodiscard]] std::string_view raw(std::string_view flag) const {
+    if (const auto it = values_.find(flag); it != values_.end())
+      return it->second;
+    const Flag* row = command.find(flag);
+    if (row == nullptr)
+      throw std::logic_error(std::string(command.name) + " reads " +
+                             std::string(flag) + ", which is not in its table");
+    return row->fallback;
+  }
+
+  std::map<std::string_view, std::string_view, std::less<>> values_;
+};
+
+// What every command reads: the fabric (with --bus-period lanes), its
+// region (pre-damaged by --faults), the module library (bus-attached by
+// --bus-attach) and the optional --nets.
+struct Inputs {
+  std::shared_ptr<const rr::fpga::Fabric> fabric;
+  rr::fpga::PartialRegion region;
+  std::vector<rr::model::Module> modules;
+  std::shared_ptr<const rr::comm::NetList> nets;
+};
+
+// A fault trace for this fabric; one for another size is refused rather
+// than cropped onto the device.
+rr::fpga::FaultTrace load_fault_trace_for(const std::string& path,
+                                          const rr::fpga::Fabric& fabric) {
+  rr::fpga::FaultTrace trace = rr::fpga::load_fault_trace(path);
+  if (trace.width != fabric.width() || trace.height != fabric.height())
+    throw rr::InvalidInput(
+        "fault trace is " + std::to_string(trace.width) + 'x' +
+        std::to_string(trace.height) + " but the fabric is " +
+        std::to_string(fabric.width()) + 'x' + std::to_string(fabric.height()));
+  return trace;
+}
+
+Inputs load_inputs(const Args& args) {
+  rr::fpga::Fabric fabric_desc = rr::fpga::load_fdf(args.text("--fabric"));
+  if (args.has("--bus-period")) {
+    rr::comm::BusSpec bus;
+    bus.lane_period = args.integer("--bus-period");
+    bus.lane_offset = args.integer("--bus-offset");
+    fabric_desc = rr::comm::with_bus_lanes(fabric_desc, bus);
+  }
+  auto fabric =
+      std::make_shared<const rr::fpga::Fabric>(std::move(fabric_desc));
+  rr::fpga::PartialRegion region(fabric);
+  // Pre-existing damage: the resulting fault map masks the region's
+  // availability, so every placer works around the dead tiles.
+  if (args.has("--faults"))
+    region.apply_faults(rr::fpga::fault_map_from_trace(
+        load_fault_trace_for(args.text("--faults"), *fabric)));
+  auto modules = rr::model::load_mlf(args.text("--modules"));
+  if (modules.empty()) throw rr::InvalidInput("module library is empty");
+  if (args.has("--bus-attach"))
+    // Throws ModelError when the row is outside a shape.
+    modules = rr::comm::with_bus_attachment(modules,
+                                            args.integer("--bus-attach"));
+  std::shared_ptr<const rr::comm::NetList> nets;
+  if (args.has("--nets"))
+    nets = std::make_shared<const rr::comm::NetList>(
+        rr::comm::load_nets(args.text("--nets")));
+  return Inputs{std::move(fabric), std::move(region), std::move(modules),
+                std::move(nets)};
+}
+
+// With --stats-json - the document owns stdout; the human-readable report
+// moves to stderr so the output stays machine-parseable.
+std::ostream& report_stream(const Args& args) {
+  return args.has("--stats-json") && args.text("--stats-json") == "-"
+             ? std::cerr
+             : std::cout;
+}
+
+// Write `text` to `path`, "-" meaning stdout; returns the exit status.
+int write_output(const std::string& path, const std::string& text) {
+  if (path == "-") {
+    std::cout << text;
+    return 0;
+  }
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "error: cannot write " << path << '\n';
+    return 2;
+  }
+  out << text;
+  return 0;
+}
+
+// A JSON object of `fields`, in order.
+rr::json::Value json_object(
+    std::initializer_list<std::pair<const char*, rr::json::Value>> fields) {
+  rr::json::Value doc = rr::json::Value::object();
+  for (const auto& [key, value] : fields) doc.set(key, value);
+  return doc;
+}
+
+// Named top-level sections a command adds to its stats document.
+using Sections = std::vector<std::pair<const char*, rr::json::Value>>;
+
+// The rrplace-stats-v1 document around `config` and `sections`, written to
+// --stats-json. A replay has no offline solve: its default outcome keeps
+// the search/space/result sections well-formed and the replay data lives
+// in its own section.
+int write_stats(const Args& args, const Inputs& in,
+                const rr::placer::PlacementOutcome& outcome,
+                const std::string& producer, rr::json::Value config,
+                Sections sections) {
+  rr::json::Value doc = rr::placer::solve_stats_json(
+      in.region, in.modules, outcome, producer, std::move(config));
+  for (auto& [key, section] : sections) doc.set(key, std::move(section));
+  return write_output(args.text("--stats-json"), doc.dump(2) + '\n');
 }
 
 // The optional "comm" stats section: net count, active weight, and the
 // total doubled-HPWL of the final placement (0 when nothing is placed).
-rr::json::Value comm_stats_json(const rr::comm::NetList& nets, long weight,
+rr::json::Value comm_stats_json(const Args& args, const rr::comm::NetList& nets,
                                 long wirelength2) {
-  rr::json::Value doc = rr::json::Value::object();
-  doc.set("nets", rr::json::Value(static_cast<std::uint64_t>(nets.nets.size())));
-  doc.set("weight", rr::json::Value(weight));
-  doc.set("wirelength2", rr::json::Value(wirelength2));
+  return json_object({{"nets", nets.nets.size()},
+                      {"weight", args.integer("--comm-weight")},
+                      {"wirelength2", wirelength2}});
+}
+
+rr::placer::PlacerOptions placer_options(const Args& args, const Inputs& in) {
+  rr::placer::PlacerOptions options;
+  options.use_alternatives = !args.has("--no-alternatives");
+  options.time_limit_seconds = args.real("--time-limit");
+  options.mode = kModes[args.choice("--mode")];
+  options.workers = args.integer("--workers");
+  options.seed = args.seed();
+  options.nets = in.nets.get();
+  options.comm_weight = args.integer("--comm-weight");
+  return options;
+}
+
+// The OnlinePlacer configuration of the online replay and of every service
+// tenant; the defrag deadline applies where the command takes --defrag.
+rr::baseline::OnlineOptions online_options(const Args& args,
+                                           const Inputs& in) {
+  rr::baseline::OnlineOptions online;
+  online.use_alternatives = !args.has("--no-alternatives");
+  online.policy = kPolicies[args.choice("--policy")];
+  if (args.command.find("--defrag") != nullptr) {
+    online.defrag.deadline_seconds = args.real("--defrag");
+    online.defrag.seed = args.seed();
+  }
+  online.nets = in.nets;
+  online.comm_weight = args.integer("--comm-weight");
+  return online;
+}
+
+// The placement service of `serve` and `soak`: one tenant per trace tenant,
+// each on a private copy of the fabric.
+std::unique_ptr<rr::service::PlacementService> start_service(
+    const Args& args, const Inputs& in, int tenants) {
+  rr::service::Tenant::Config config;
+  config.fabric = in.fabric;
+  config.library = in.modules;
+  config.online = online_options(args, in);
+  std::vector<rr::service::Tenant::Config> configs(
+      static_cast<std::size_t>(tenants), config);
+  rr::service::ServiceOptions options;
+  options.workers = args.integer("--workers");
+  options.queue_capacity = static_cast<std::size_t>(args.integer("--queue"));
+  options.cache_capacity =
+      static_cast<std::size_t>(args.integer("--cache-cap"));
+  if (args.command.find("--quota") != nullptr) {
+    options.tenant_inflight_quota = args.integer("--quota");
+    options.submit_retry_budget = args.integer("--retry");
+  }
+  return std::make_unique<rr::service::PlacementService>(
+      std::move(configs), options, !args.has("--no-cache"));
+}
+
+// The "service" stats section of `serve` and `soak`.
+rr::json::Value service_json(const rr::service::ServiceStats& stats,
+                             int tenants, int workers, double seconds,
+                             double throughput) {
+  rr::json::Value doc = stats.to_json();
+  doc.set("tenants", tenants);
+  doc.set("workers", workers);
+  doc.set("seconds", seconds);
+  doc.set("throughput_rps", throughput);
   return doc;
+}
+
+// Offline CP solve: report (and validate) the floorplan.
+int run_solve(const Args& args, const Inputs& in) {
+  rr::placer::Placer placer(in.region, in.modules, placer_options(args, in));
+  const auto outcome = placer.place();
+
+  if (args.has("--stats-json")) {
+    rr::json::Value config =
+        json_object({{"fabric", args.text("--fabric")},
+                     {"modules", args.text("--modules")},
+                     {"alternatives", !args.has("--no-alternatives")},
+                     {"time_limit", args.real("--time-limit")},
+                     {"workers", args.integer("--workers")},
+                     {"seed", args.seed()}});
+    Sections sections;
+    if (in.nets != nullptr) {
+      config.set("nets", args.text("--nets"));
+      long wirelength2 = 0;
+      if (outcome.solution.feasible) {
+        const rr::comm::BoundNets bound(*in.nets, in.modules);
+        std::vector<rr::comm::Center2> centers(in.modules.size());
+        for (const auto& p : outcome.solution.placements) {
+          const rr::Rect box = in.modules[static_cast<std::size_t>(p.module)]
+                                   .shapes()[static_cast<std::size_t>(p.shape)]
+                                   .bounding_box();
+          centers[static_cast<std::size_t>(p.module)] =
+              rr::comm::center2(box, p.x, p.y);
+        }
+        wirelength2 = bound.wirelength2(centers);
+      }
+      sections.emplace_back("comm",
+                            comm_stats_json(args, *in.nets, wirelength2));
+    }
+    if (write_stats(args, in, outcome, "rrplace_cli", std::move(config),
+                    std::move(sections)) != 0)
+      return 2;
+  }
+
+  std::ostream& human = report_stream(args);
+  if (!outcome.solution.feasible) {
+    human << "infeasible"
+          << (outcome.optimal ? " (proven: no placement exists)" : "") << '\n';
+    return 1;
+  }
+  const auto report =
+      rr::placer::validate(in.region, in.modules, outcome.solution);
+  if (!report.ok()) {
+    std::cerr << "internal error: solution failed validation: "
+              << report.errors.front() << '\n';
+    return 3;
+  }
+  if (!args.has("--quiet")) {
+    human << rr::render::placement_ascii(in.region, in.modules,
+                                         outcome.solution)
+          << rr::render::legend();
+  }
+  human << "modules: " << in.modules.size()
+        << "  extent: " << outcome.solution.extent
+        << (outcome.optimal ? " (optimal)" : " (best found)")
+        << "  utilization: "
+        << rr::TextTable::pct(rr::placer::spanned_utilization(
+               in.region, in.modules, outcome.solution))
+        << "  time: " << rr::TextTable::num(outcome.seconds, 3) << "s\n";
+  for (const auto& p : outcome.solution.placements) {
+    human << "  " << in.modules[static_cast<std::size_t>(p.module)].name()
+          << " shape=" << p.shape << " at (" << p.x << "," << p.y << ")\n";
+  }
+  if (args.has("--svg")) {
+    const std::string svg = args.text("--svg");
+    rr::render::save_placement_svg(svg, in.region, in.modules,
+                                   outcome.solution);
+    human << "SVG written to " << svg << '\n';
+  }
+  return 0;
+}
+
+// The valid-anchor mask of a module's base shape (the Fig. 4b view).
+int run_anchors(const Args& args, const Inputs& in) {
+  const std::string name = args.text("module");
+  for (const auto& module : in.modules) {
+    if (module.name() != name) continue;
+    std::cout << rr::render::anchor_mask_ascii(in.region,
+                                               module.shapes().front())
+              << rr::render::legend();
+    return 0;
+  }
+  std::cerr << "error: no module named '" << name << "'\n";
+  return 2;
 }
 
 // Replay an online place/remove trace through the OnlinePlacer and report
 // the service level (acceptance ratio) plus defragmentation telemetry.
-int run_online_trace(const CliOptions& cli,
-                     const rr::fpga::PartialRegion& region,
-                     const std::vector<rr::model::Module>& modules,
-                     const std::shared_ptr<const rr::comm::NetList>& nets) {
-  std::ifstream in(cli.online_trace_path);
-  if (!in) {
-    std::cerr << "error: cannot read trace " << cli.online_trace_path << '\n';
+int run_online(const Args& args, const Inputs& in) {
+  const std::string path = args.text("trace");
+  std::ifstream file(path);
+  if (!file) {
+    std::cerr << "error: cannot read trace " << path << '\n';
     return 2;
   }
   auto find_module = [&](const std::string& name) -> const rr::model::Module* {
-    for (const auto& m : modules)
+    for (const auto& m : in.modules)
       if (m.name() == name) return &m;
     return nullptr;
   };
-  rr::baseline::OnlineOptions online;
-  online.use_alternatives = cli.alternatives;
-  online.policy = cli.online_policy;
-  online.defrag.deadline_seconds = cli.defrag_seconds;
-  online.defrag.seed = cli.seed;
-  online.nets = nets;
-  online.comm_weight = cli.comm_weight;
-  rr::baseline::OnlinePlacer placer(region, online);
+  rr::baseline::OnlinePlacer placer(in.region, online_options(args, in));
   // Names of the live instances (defrag may relocate them, so positions
   // come from live_placements() at the end, not from this map).
   std::unordered_map<int, const rr::model::Module*> live_modules;
 
-  std::ostream& human = cli.stats_json_path == "-" ? std::cerr : std::cout;
+  const bool quiet = args.has("--quiet");
+  std::ostream& human = report_stream(args);
   rr::Stopwatch watch;
   long places = 0, removes = 0, accepted = 0;
   // Errors throw InvalidInput("<path>:<line>: <what>") to main's catch
   // (exit 2), like the library formats.
-  rr::LineLexer line(in, cli.online_trace_path);
+  rr::LineLexer line(file, path);
   while (line.next()) {
     if (line[0] == "place") {
       const char* usage = "expected: place <id> <module>";
@@ -463,7 +465,7 @@ int run_online_trace(const CliOptions& cli,
         ++accepted;
         live_modules[id] = module;
       }
-      if (!cli.quiet) {
+      if (!quiet) {
         human << "  place " << id << ' ' << name << ": ";
         if (placement) {
           human << "accepted shape=" << placement->shape << " at ("
@@ -481,24 +483,22 @@ int run_online_trace(const CliOptions& cli,
       ++removes;
       placer.remove(id);
       live_modules.erase(id);
-      if (!cli.quiet) human << "  remove " << id << '\n';
+      if (!quiet) human << "  remove " << id << '\n';
     } else {
       line.fail("unknown trace op '" + std::string(line[0]) + "'");
     }
   }
   const double seconds = watch.seconds();
   const long rejected = places - accepted;
+  const double acceptance =
+      places > 0 ? static_cast<double>(accepted) / places : 1.0;
   const auto& defrag = placer.defrag_stats();
   const auto& relocation = placer.relocation_cost();
 
   human << "trace: " << (places + removes) << " events (" << places
         << " place, " << removes << " remove)  accepted: " << accepted << '/'
-        << places << " ("
-        << rr::TextTable::pct(places > 0
-                                  ? static_cast<double>(accepted) / places
-                                  : 1.0)
-        << ")\n";
-  human << "defrag: deadline " << cli.defrag_seconds << "s, "
+        << places << " (" << rr::TextTable::pct(acceptance) << ")\n";
+  human << "defrag: deadline " << args.real("--defrag") << "s, "
         << defrag.attempts << " passes, " << defrag.successes
         << " admitted (" << defrag.exact_successes << " exact, "
         << defrag.greedy_successes << " greedy), " << defrag.relocated_modules
@@ -506,7 +506,7 @@ int run_online_trace(const CliOptions& cli,
   // Final live wirelength under the loaded nets (names from the replay
   // map, positions from the placer: defrag may have relocated instances).
   long final_wirelength2 = 0;
-  if (nets != nullptr) {
+  if (in.nets != nullptr) {
     std::vector<rr::comm::NamedPin> pins;
     pins.reserve(live_modules.size());
     for (const auto& p : placer.live_placements()) {
@@ -516,84 +516,58 @@ int run_online_trace(const CliOptions& cli,
       pins.push_back(rr::comm::NamedPin{module->name(),
                                         rr::comm::center2(box, p.x, p.y)});
     }
-    final_wirelength2 = rr::comm::pins_wirelength2(*nets, pins);
-    human << "comm: " << nets->nets.size() << " nets, weight "
-          << cli.comm_weight << ", final wirelength2 " << final_wirelength2
-          << '\n';
+    final_wirelength2 = rr::comm::pins_wirelength2(*in.nets, pins);
+    human << "comm: " << in.nets->nets.size() << " nets, weight "
+          << args.integer("--comm-weight") << ", final wirelength2 "
+          << final_wirelength2 << '\n';
   }
   human << "final: " << placer.live_count() << " live, occupancy "
         << rr::TextTable::pct(placer.occupancy()) << "  time: "
         << rr::TextTable::num(seconds, 3) << "s\n";
 
-  if (!cli.stats_json_path.empty()) {
-    rr::json::Value config = rr::json::Value::object();
-    config.set("fabric", rr::json::Value(cli.fabric_path));
-    config.set("modules", rr::json::Value(cli.modules_path));
-    config.set("alternatives", rr::json::Value(cli.alternatives));
-    config.set("trace", rr::json::Value(cli.online_trace_path));
-    config.set("defrag_deadline_seconds",
-               rr::json::Value(cli.defrag_seconds));
-    config.set("seed", rr::json::Value(cli.seed));
-    config.set("policy", rr::json::Value(policy_name(cli.online_policy)));
-    if (!cli.nets_path.empty())
-      config.set("nets", rr::json::Value(cli.nets_path));
-    // The search/space/result sections describe one offline solve; a trace
-    // replay has none, so a default (empty) outcome keeps the schema
-    // intact and the replay data lives in the "online" section.
-    rr::placer::PlacementOutcome outcome;
-    outcome.seconds = seconds;
-    rr::json::Value stats = rr::placer::solve_stats_json(
-        region, modules, outcome, "rrplace_cli-online", std::move(config));
-    rr::json::Value online_doc = rr::json::Value::object();
-    online_doc.set("places", rr::json::Value(places));
-    online_doc.set("removes", rr::json::Value(removes));
-    online_doc.set("accepted", rr::json::Value(accepted));
-    online_doc.set("rejected", rr::json::Value(rejected));
-    online_doc.set(
-        "acceptance_ratio",
-        rr::json::Value(places > 0 ? static_cast<double>(accepted) / places
-                                   : 1.0));
-    rr::json::Value defrag_doc = rr::json::Value::object();
-    defrag_doc.set("attempts", rr::json::Value(defrag.attempts));
-    defrag_doc.set("successes", rr::json::Value(defrag.successes));
-    defrag_doc.set("exact_successes", rr::json::Value(defrag.exact_successes));
-    defrag_doc.set("greedy_successes",
-                   rr::json::Value(defrag.greedy_successes));
-    defrag_doc.set("relocated_modules",
-                   rr::json::Value(defrag.relocated_modules));
-    defrag_doc.set("relocated_tiles", rr::json::Value(defrag.relocated_tiles));
-    defrag_doc.set("deadline_expiries",
-                   rr::json::Value(defrag.deadline_expiries));
-    defrag_doc.set("rejects", rr::json::Value(defrag.rejects));
-    defrag_doc.set("retry_skips", rr::json::Value(defrag.retry_skips));
-    defrag_doc.set("budget_skips", rr::json::Value(defrag.budget_skips));
-    online_doc.set("defrag", std::move(defrag_doc));
-    rr::json::Value relocation_doc = rr::json::Value::object();
-    relocation_doc.set("tiles_cleared",
-                       rr::json::Value(relocation.tiles_cleared));
-    relocation_doc.set("tiles_written",
-                       rr::json::Value(relocation.tiles_written));
-    relocation_doc.set("modules_moved",
-                       rr::json::Value(relocation.modules_loaded));
-    online_doc.set("relocation", std::move(relocation_doc));
-    online_doc.set("final_live", rr::json::Value(placer.live_count()));
-    online_doc.set("final_occupancy", rr::json::Value(placer.occupancy()));
-    stats.set("online", std::move(online_doc));
-    if (nets != nullptr)
-      stats.set("comm", comm_stats_json(*nets, cli.comm_weight,
-                                        final_wirelength2));
-    if (cli.stats_json_path == "-") {
-      std::cout << stats.dump(2) << '\n';
-    } else {
-      std::ofstream out(cli.stats_json_path);
-      if (!out) {
-        std::cerr << "error: cannot write " << cli.stats_json_path << '\n';
-        return 2;
-      }
-      out << stats.dump(2) << '\n';
-    }
-  }
-  return 0;
+  if (!args.has("--stats-json")) return 0;
+  rr::json::Value config =
+      json_object({{"fabric", args.text("--fabric")},
+                   {"modules", args.text("--modules")},
+                   {"alternatives", !args.has("--no-alternatives")},
+                   {"trace", path},
+                   {"defrag_deadline_seconds", args.real("--defrag")},
+                   {"seed", args.seed()},
+                   {"policy", args.text("--policy")}});
+  if (in.nets != nullptr) config.set("nets", args.text("--nets"));
+  rr::placer::PlacementOutcome outcome;
+  outcome.seconds = seconds;
+  Sections sections;
+  sections.emplace_back(
+      "online",
+      json_object(
+          {{"places", places},
+           {"removes", removes},
+           {"accepted", accepted},
+           {"rejected", rejected},
+           {"acceptance_ratio", acceptance},
+           {"defrag",
+            json_object({{"attempts", defrag.attempts},
+                         {"successes", defrag.successes},
+                         {"exact_successes", defrag.exact_successes},
+                         {"greedy_successes", defrag.greedy_successes},
+                         {"relocated_modules", defrag.relocated_modules},
+                         {"relocated_tiles", defrag.relocated_tiles},
+                         {"deadline_expiries", defrag.deadline_expiries},
+                         {"rejects", defrag.rejects},
+                         {"retry_skips", defrag.retry_skips},
+                         {"budget_skips", defrag.budget_skips}})},
+           {"relocation",
+            json_object({{"tiles_cleared", relocation.tiles_cleared},
+                         {"tiles_written", relocation.tiles_written},
+                         {"modules_moved", relocation.modules_loaded}})},
+           {"final_live", placer.live_count()},
+           {"final_occupancy", placer.occupancy()}}));
+  if (in.nets != nullptr)
+    sections.emplace_back(
+        "comm", comm_stats_json(args, *in.nets, final_wirelength2));
+  return write_stats(args, in, outcome, "rrplace_cli-online",
+                     std::move(config), std::move(sections));
 }
 
 // Describe a fault event in one log token, e.g. "column 7 permanent".
@@ -626,52 +600,34 @@ std::string fault_event_text(const rr::fpga::FaultEvent& event) {
 
 // Availability replay: offline placement, admit into the recovery manager,
 // then degrade the fabric event by event and report what survived.
-int run_fault_trace(const CliOptions& cli,
-                    const rr::fpga::PartialRegion& region,
-                    const std::vector<rr::model::Module>& modules,
-                    const std::shared_ptr<const rr::comm::NetList>& nets) {
-  const rr::fpga::FaultTrace trace =
-      rr::fpga::load_fault_trace(cli.fault_trace_path);
-  if (trace.width != region.fabric().width() ||
-      trace.height != region.fabric().height()) {
-    std::cerr << "error: fault trace is " << trace.width << 'x' << trace.height
-              << " but the fabric is " << region.fabric().width() << 'x'
-              << region.fabric().height() << '\n';
-    return 2;
-  }
+int run_faults(const Args& args, const Inputs& in) {
+  const std::string path = args.text("trace.fft");
+  const rr::fpga::FaultTrace trace = load_fault_trace_for(path, *in.fabric);
 
-  rr::placer::PlacerOptions options;
-  options.use_alternatives = cli.alternatives;
-  options.time_limit_seconds = cli.time_limit;
-  options.mode = cli.mode;
-  options.workers = cli.workers;
-  options.seed = cli.seed;
-  options.nets = nets.get();
-  options.comm_weight = cli.comm_weight;
-  rr::placer::Placer placer(region, modules, options);
+  rr::placer::Placer placer(in.region, in.modules, placer_options(args, in));
   const auto outcome = placer.place();
-  std::ostream& human = cli.stats_json_path == "-" ? std::cerr : std::cout;
+  std::ostream& human = report_stream(args);
   if (!outcome.solution.feasible) {
     human << "infeasible: no initial placement to recover\n";
     return 1;
   }
 
   rr::runtime::FaultRecoveryOptions recovery_options;
-  recovery_options.deadline_seconds = cli.fault_deadline;
-  recovery_options.use_alternatives = cli.alternatives;
-  recovery_options.seed = cli.seed;
-  recovery_options.nets = nets;
-  recovery_options.comm_weight = cli.comm_weight;
-  rr::runtime::FaultRecoveryManager manager(region, recovery_options);
+  recovery_options.deadline_seconds = args.real("--deadline");
+  recovery_options.use_alternatives = !args.has("--no-alternatives");
+  recovery_options.seed = args.seed();
+  recovery_options.nets = in.nets;
+  recovery_options.comm_weight = args.integer("--comm-weight");
+  rr::runtime::FaultRecoveryManager manager(in.region, recovery_options);
   for (const auto& p : outcome.solution.placements)
-    manager.admit(p.module, modules[static_cast<std::size_t>(p.module)],
+    manager.admit(p.module, in.modules[static_cast<std::size_t>(p.module)],
                   p.shape, p.x, p.y);
   const int admitted = manager.live_count();
 
   rr::Stopwatch watch;
   for (const rr::fpga::FaultEvent& event : trace.events) {
     const auto result = manager.on_fault(event);
-    if (cli.quiet) continue;
+    if (args.has("--quiet")) continue;
     human << "  " << fault_event_text(event) << ": ";
     if (result.modules_hit == 0 && result.retry_recoveries == 0) {
       human << "no module hit";
@@ -706,79 +662,60 @@ int run_fault_trace(const CliOptions& cli,
         << ", utilization " << rr::TextTable::pct(manager.utilization())
         << "  time: " << rr::TextTable::num(seconds, 3) << "s\n";
 
-  if (!cli.stats_json_path.empty()) {
-    rr::json::Value config = rr::json::Value::object();
-    config.set("fabric", rr::json::Value(cli.fabric_path));
-    config.set("modules", rr::json::Value(cli.modules_path));
-    config.set("alternatives", rr::json::Value(cli.alternatives));
-    config.set("fault_trace", rr::json::Value(cli.fault_trace_path));
-    config.set("fault_deadline_seconds", rr::json::Value(cli.fault_deadline));
-    config.set("seed", rr::json::Value(cli.seed));
-    if (!cli.nets_path.empty())
-      config.set("nets", rr::json::Value(cli.nets_path));
-    rr::json::Value stats_doc = rr::placer::solve_stats_json(
-        region, modules, outcome, "rrplace_cli-faults", std::move(config));
-    rr::json::Value fault_doc = rr::json::Value::object();
-    fault_doc.set("events", rr::json::Value(stats.events));
-    fault_doc.set("tiles_faulted", rr::json::Value(stats.tiles_faulted));
-    fault_doc.set("modules_hit", rr::json::Value(stats.modules_hit));
-    fault_doc.set("recovered", rr::json::Value(stats.recovered));
-    fault_doc.set("recovered_fraction", rr::json::Value(recovered_fraction));
-    fault_doc.set("inplace_swaps", rr::json::Value(stats.inplace_swaps));
-    fault_doc.set("local_replaces", rr::json::Value(stats.local_replaces));
-    fault_doc.set("defrag_recoveries",
-                  rr::json::Value(stats.defrag_recoveries));
-    fault_doc.set("greedy_recoveries",
-                  rr::json::Value(stats.greedy_recoveries));
-    fault_doc.set("park_transitions", rr::json::Value(stats.parked));
-    fault_doc.set("retries", rr::json::Value(stats.retries));
-    fault_doc.set("retry_recoveries", rr::json::Value(stats.retry_recoveries));
-    fault_doc.set("abandoned", rr::json::Value(stats.abandoned));
-    fault_doc.set("deadline_expiries",
-                  rr::json::Value(stats.deadline_expiries));
-    fault_doc.set("relocated_modules",
-                  rr::json::Value(stats.relocated_modules));
-    fault_doc.set("relocated_tiles", rr::json::Value(stats.relocated_tiles));
-    fault_doc.set("final_live", rr::json::Value(manager.live_count()));
-    fault_doc.set("final_parked", rr::json::Value(manager.parked_count()));
-    fault_doc.set("capacity_retained",
-                  rr::json::Value(manager.capacity_retained()));
-    fault_doc.set("utilization", rr::json::Value(manager.utilization()));
-    rr::json::Value cost_doc = rr::json::Value::object();
-    cost_doc.set("tiles_cleared",
-                 rr::json::Value(manager.recovery_cost().tiles_cleared));
-    cost_doc.set("tiles_written",
-                 rr::json::Value(manager.recovery_cost().tiles_written));
-    cost_doc.set("modules_loaded",
-                 rr::json::Value(manager.recovery_cost().modules_loaded));
-    fault_doc.set("recovery_cost", std::move(cost_doc));
-    stats_doc.set("fault", std::move(fault_doc));
-    if (nets != nullptr) {
-      // Wirelength of what survived, at its possibly-relocated positions.
-      std::vector<rr::comm::NamedPin> pins;
-      for (const auto& p : manager.live_placements()) {
-        const rr::model::Module& module = manager.module_of(p.module);
-        const rr::Rect box =
-            module.shapes()[static_cast<std::size_t>(p.shape)].bounding_box();
-        pins.push_back(rr::comm::NamedPin{module.name(),
-                                          rr::comm::center2(box, p.x, p.y)});
-      }
-      stats_doc.set("comm",
-                    comm_stats_json(*nets, cli.comm_weight,
-                                    rr::comm::pins_wirelength2(*nets, pins)));
+  if (!args.has("--stats-json")) return 0;
+  rr::json::Value config =
+      json_object({{"fabric", args.text("--fabric")},
+                   {"modules", args.text("--modules")},
+                   {"alternatives", !args.has("--no-alternatives")},
+                   {"fault_trace", path},
+                   {"fault_deadline_seconds", args.real("--deadline")},
+                   {"seed", args.seed()}});
+  if (in.nets != nullptr) config.set("nets", args.text("--nets"));
+  const auto& cost = manager.recovery_cost();
+  Sections sections;
+  sections.emplace_back(
+      "fault",
+      json_object(
+          {{"events", stats.events},
+           {"tiles_faulted", stats.tiles_faulted},
+           {"modules_hit", stats.modules_hit},
+           {"recovered", stats.recovered},
+           {"recovered_fraction", recovered_fraction},
+           {"inplace_swaps", stats.inplace_swaps},
+           {"local_replaces", stats.local_replaces},
+           {"defrag_recoveries", stats.defrag_recoveries},
+           {"greedy_recoveries", stats.greedy_recoveries},
+           {"park_transitions", stats.parked},
+           {"retries", stats.retries},
+           {"retry_recoveries", stats.retry_recoveries},
+           {"abandoned", stats.abandoned},
+           {"deadline_expiries", stats.deadline_expiries},
+           {"relocated_modules", stats.relocated_modules},
+           {"relocated_tiles", stats.relocated_tiles},
+           {"final_live", manager.live_count()},
+           {"final_parked", manager.parked_count()},
+           {"capacity_retained", manager.capacity_retained()},
+           {"utilization", manager.utilization()},
+           {"recovery_cost",
+            json_object({{"tiles_cleared", cost.tiles_cleared},
+                         {"tiles_written", cost.tiles_written},
+                         {"modules_loaded", cost.modules_loaded}})}}));
+  if (in.nets != nullptr) {
+    // Wirelength of what survived, at its possibly-relocated positions.
+    std::vector<rr::comm::NamedPin> pins;
+    for (const auto& p : manager.live_placements()) {
+      const rr::model::Module& module = manager.module_of(p.module);
+      const rr::Rect box =
+          module.shapes()[static_cast<std::size_t>(p.shape)].bounding_box();
+      pins.push_back(rr::comm::NamedPin{module.name(),
+                                        rr::comm::center2(box, p.x, p.y)});
     }
-    if (cli.stats_json_path == "-") {
-      std::cout << stats_doc.dump(2) << '\n';
-    } else {
-      std::ofstream out(cli.stats_json_path);
-      if (!out) {
-        std::cerr << "error: cannot write " << cli.stats_json_path << '\n';
-        return 2;
-      }
-      out << stats_doc.dump(2) << '\n';
-    }
+    sections.emplace_back(
+        "comm", comm_stats_json(args, *in.nets,
+                                rr::comm::pins_wirelength2(*in.nets, pins)));
   }
-  return 0;
+  return write_stats(args, in, outcome, "rrplace_cli-faults",
+                     std::move(config), std::move(sections));
 }
 
 // One log token for the overload/lifecycle statuses; nullptr for outcomes
@@ -798,59 +735,38 @@ const char* shed_text(rr::service::Response::Status status) {
 // pump it through the in-process PlacementService (one private fabric per
 // tenant, shared solve-context cache), then report throughput, latency
 // percentiles, and cache effectiveness.
-int run_serve_trace(const CliOptions& cli,
-                    const rr::fpga::PartialRegion& region,
-                    const std::shared_ptr<const rr::fpga::Fabric>& fabric,
-                    const std::vector<rr::model::Module>& modules,
-                    const std::shared_ptr<const rr::comm::NetList>& nets) {
-  std::ifstream in(cli.serve_trace_path);
-  if (!in) {
-    std::cerr << "error: cannot read trace " << cli.serve_trace_path << '\n';
+int run_serve(const Args& args, const Inputs& in) {
+  const std::string path = args.text("trace");
+  std::ifstream file(path);
+  if (!file) {
+    std::cerr << "error: cannot read trace " << path << '\n';
     return 2;
   }
   // Shared grammar parser (src/service/trace.*) — the same one the workload
   // generator's output round-trips through. InvalidInput propagates to
   // main's catch (exit 2) with the "<path>:<line>: <what>" message.
   const rr::service::ServeTrace trace = rr::service::parse_serve_trace(
-      in, cli.serve_trace_path, modules, fabric->width(), fabric->height());
+      file, path, in.modules, in.fabric->width(), in.fabric->height());
   const int tenants = trace.tenants;
   const std::vector<rr::service::Request>& requests = trace.requests;
-
-  std::vector<rr::service::Tenant::Config> configs;
-  configs.reserve(static_cast<std::size_t>(tenants));
-  for (int t = 0; t < tenants; ++t) {
-    rr::service::Tenant::Config config;
-    config.fabric = fabric;
-    config.library = modules;
-    config.online.use_alternatives = cli.alternatives;
-    config.online.policy = cli.online_policy;
-    config.online.nets = nets;
-    config.online.comm_weight = cli.comm_weight;
-    configs.push_back(std::move(config));
-  }
-  rr::service::ServiceOptions service_options;
-  service_options.workers = cli.serve_workers;
-  service_options.queue_capacity = cli.serve_queue;
-  service_options.cache_capacity = cli.serve_cache_cap;
-  rr::service::PlacementService service(std::move(configs), service_options,
-                                        cli.serve_cache);
+  const auto service = start_service(args, in, tenants);
 
   rr::Stopwatch watch;
   std::vector<std::future<rr::service::Response>> futures;
   futures.reserve(requests.size());
   for (const auto& request : requests)
-    futures.push_back(service.submit(request));
+    futures.push_back(service->submit(request));
   std::vector<rr::service::Response> responses;
   responses.reserve(futures.size());
   for (auto& future : futures) responses.push_back(future.get());
   const double seconds = watch.seconds();
-  service.stop();
-  const rr::service::ServiceStats stats = service.stats();
+  service->stop();
+  const rr::service::ServiceStats stats = service->stats();
   const double throughput =
       seconds > 0.0 ? static_cast<double>(requests.size()) / seconds : 0.0;
 
-  std::ostream& human = cli.stats_json_path == "-" ? std::cerr : std::cout;
-  if (!cli.quiet) {
+  std::ostream& human = report_stream(args);
+  if (!args.has("--quiet")) {
     using Status = rr::service::Response::Status;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const auto& request = requests[i];
@@ -860,7 +776,7 @@ int run_serve_trace(const CliOptions& cli,
       switch (request.op) {
         case rr::service::RequestOp::kPlace:
           human << "place " << request.instance << ' '
-                << modules[static_cast<std::size_t>(request.module)].name()
+                << in.modules[static_cast<std::size_t>(request.module)].name()
                 << ": ";
           if (response.status == Status::kPlaced) {
             human << "accepted shape=" << response.placement.shape << " at ("
@@ -888,7 +804,7 @@ int run_serve_trace(const CliOptions& cli,
   }
 
   human << "serve: " << stats.requests << " requests, " << tenants
-        << " tenants on " << service.worker_count() << " workers  time: "
+        << " tenants on " << service->worker_count() << " workers  time: "
         << rr::TextTable::num(seconds, 3) << "s  throughput: "
         << rr::TextTable::num(throughput, 1) << " req/s\n";
   human << "status: " << stats.placed << " placed, " << stats.rejected
@@ -905,12 +821,12 @@ int run_serve_trace(const CliOptions& cli,
                  static_cast<double>(stats.shed.submitted))
           << " of " << stats.shed.submitted << " submitted)\n";
   }
-  if (cli.serve_cache) {
+  if (!args.has("--no-cache")) {
     human << "cache: " << stats.cache.hits << " hits / " << stats.cache.misses
           << " misses (" << rr::TextTable::pct(stats.cache.hit_rate())
           << "), " << stats.cache.invalidations << " invalidations, "
           << stats.cache.evictions << " evictions, " << stats.cache.entries
-          << " entries (cap " << service.cache().capacity() << ")\n";
+          << " entries (cap " << service->cache().capacity() << ")\n";
   } else {
     human << "cache: disabled\n";
   }
@@ -922,44 +838,44 @@ int run_serve_trace(const CliOptions& cli,
         << "ms, queue p99 "
         << rr::TextTable::num(stats.latency_queue_p99_ms, 3) << "ms)\n";
 
-  if (!cli.stats_json_path.empty()) {
-    rr::json::Value config = rr::json::Value::object();
-    config.set("fabric", rr::json::Value(cli.fabric_path));
-    config.set("modules", rr::json::Value(cli.modules_path));
-    config.set("alternatives", rr::json::Value(cli.alternatives));
-    config.set("trace", rr::json::Value(cli.serve_trace_path));
-    config.set("workers", rr::json::Value(cli.serve_workers));
-    config.set("queue_capacity",
-               rr::json::Value(static_cast<std::uint64_t>(cli.serve_queue)));
-    config.set("cache", rr::json::Value(cli.serve_cache));
-    config.set("cache_capacity", rr::json::Value(static_cast<std::uint64_t>(
-                                     cli.serve_cache_cap)));
-    config.set("policy", rr::json::Value(policy_name(cli.online_policy)));
-    // As with the online replay, the solve sections describe one offline
-    // solve which a service replay doesn't have; the replay data lives in
-    // the "service" section.
-    rr::placer::PlacementOutcome outcome;
-    outcome.seconds = seconds;
-    rr::json::Value stats_doc = rr::placer::solve_stats_json(
-        region, modules, outcome, "rrplace_cli-service", std::move(config));
-    rr::json::Value service_doc = stats.to_json();
-    service_doc.set("tenants", rr::json::Value(tenants));
-    service_doc.set("workers", rr::json::Value(service.worker_count()));
-    service_doc.set("seconds", rr::json::Value(seconds));
-    service_doc.set("throughput_rps", rr::json::Value(throughput));
-    stats_doc.set("service", std::move(service_doc));
-    if (cli.stats_json_path == "-") {
-      std::cout << stats_doc.dump(2) << '\n';
-    } else {
-      std::ofstream out(cli.stats_json_path);
-      if (!out) {
-        std::cerr << "error: cannot write " << cli.stats_json_path << '\n';
-        return 2;
-      }
-      out << stats_doc.dump(2) << '\n';
-    }
-  }
-  return 0;
+  if (!args.has("--stats-json")) return 0;
+  rr::json::Value config = json_object(
+      {{"fabric", args.text("--fabric")},
+       {"modules", args.text("--modules")},
+       {"alternatives", !args.has("--no-alternatives")},
+       {"trace", path},
+       {"workers", args.integer("--workers")},
+       {"queue_capacity", args.integer("--queue")},
+       {"cache", !args.has("--no-cache")},
+       {"cache_capacity", args.integer("--cache-cap")},
+       {"policy", args.text("--policy")}});
+  rr::placer::PlacementOutcome outcome;
+  outcome.seconds = seconds;
+  Sections sections;
+  sections.emplace_back("service",
+                        service_json(stats, tenants, service->worker_count(),
+                                     seconds, throughput));
+  return write_stats(args, in, outcome, "rrplace_cli-service",
+                     std::move(config), std::move(sections));
+}
+
+rr::service::ServeTrace generate_trace(const Args& args, const Inputs& in) {
+  rr::sim::WorkloadParams params;
+  params.tenants = args.integer("--tenants");
+  params.requests = args.integer("n");
+  params.seed = args.seed();
+  params.deadline_base_ms = args.real("--deadline-ms");
+  rr::sim::WorkloadGenerator generator(params, in.modules, in.fabric->width(),
+                                       in.fabric->height());
+  return generator.generate();
+}
+
+// Write a generated workload in the serve-trace grammar (byte-reproducible
+// per seed) instead of replaying it.
+int run_gen(const Args& args, const Inputs& in) {
+  return write_output(
+      args.text("path"),
+      rr::sim::WorkloadGenerator::render(generate_trace(args, in), in.modules));
 }
 
 // Long-horizon soak: generate an adversarial workload (src/sim), replay it
@@ -977,59 +893,13 @@ int run_serve_trace(const CliOptions& cli,
 //   - conservation: live instances == accepted places - removes - fault
 //     losses (displaced minus recovered);
 //   - no live placement overlaps a faulty tile;
-//   - optionally (--soak-floor) every tenant completed at least the floor
+//   - optionally (--floor) every tenant completed at least the floor
 //     fraction of its submitted requests, checked once at the end.
-int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
-             const std::shared_ptr<const rr::fpga::Fabric>& fabric,
-             const std::vector<rr::model::Module>& modules,
-             const std::shared_ptr<const rr::comm::NetList>& nets) {
-  rr::sim::WorkloadParams params;
-  params.tenants = cli.soak_tenants;
-  params.requests = cli.soak_requests;
-  params.seed = cli.seed;
-  params.deadline_base_ms = cli.soak_deadline_ms;
-  rr::sim::WorkloadGenerator generator(params, modules, fabric->width(),
-                                       fabric->height());
-  const rr::service::ServeTrace trace = generator.generate();
-
-  if (!cli.gen_trace_path.empty()) {
-    const std::string text = rr::sim::WorkloadGenerator::render(trace, modules);
-    if (cli.gen_trace_path == "-") {
-      std::cout << text;
-    } else {
-      std::ofstream out(cli.gen_trace_path);
-      if (!out) {
-        std::cerr << "error: cannot write " << cli.gen_trace_path << '\n';
-        return 2;
-      }
-      out << text;
-    }
-    return 0;
-  }
-
+int run_soak(const Args& args, const Inputs& in) {
+  const rr::service::ServeTrace trace = generate_trace(args, in);
   const int tenants = trace.tenants;
-  std::vector<rr::service::Tenant::Config> configs;
-  configs.reserve(static_cast<std::size_t>(tenants));
-  for (int t = 0; t < tenants; ++t) {
-    rr::service::Tenant::Config config;
-    config.fabric = fabric;
-    config.library = modules;
-    config.online.use_alternatives = cli.alternatives;
-    config.online.policy = cli.online_policy;
-    config.online.defrag.deadline_seconds = cli.defrag_seconds;
-    config.online.defrag.seed = cli.seed;
-    config.online.nets = nets;
-    config.online.comm_weight = cli.comm_weight;
-    configs.push_back(std::move(config));
-  }
-  rr::service::ServiceOptions service_options;
-  service_options.workers = cli.serve_workers;
-  service_options.queue_capacity = cli.serve_queue;
-  service_options.cache_capacity = cli.serve_cache_cap;
-  service_options.tenant_inflight_quota = cli.soak_quota;
-  service_options.submit_retry_budget = cli.soak_retry;
-  rr::service::PlacementService service(std::move(configs), service_options,
-                                        cli.serve_cache);
+  const auto service = start_service(args, in, tenants);
+  const auto epoch = static_cast<std::size_t>(args.integer("--epoch"));
 
   using Status = rr::service::Response::Status;
   // Instance → library module, recorded at submit time regardless of the
@@ -1059,9 +929,7 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
   std::vector<std::pair<std::size_t, std::future<rr::service::Response>>>
       inflight;
   while (next < trace.requests.size()) {
-    const std::size_t end =
-        std::min(trace.requests.size(),
-                 next + static_cast<std::size_t>(cli.soak_epoch));
+    const std::size_t end = std::min(trace.requests.size(), next + epoch);
     inflight.clear();
     for (; next < end; ++next) {
       const rr::service::Request& request = trace.requests[next];
@@ -1069,7 +937,7 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
       if (request.op == rr::service::RequestOp::kPlace)
         instance_module[t][request.instance] = request.module;
       ++tenant_submitted[t];
-      inflight.emplace_back(next, service.submit(request));
+      inflight.emplace_back(next, service->submit(request));
     }
     for (auto& [index, future] : inflight) {
       const rr::service::Response response = future.get();
@@ -1104,7 +972,7 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
     ++epochs;
 
     // --- Accounting audit.
-    const rr::service::ShedCounters counters = service.shed_counters();
+    const rr::service::ShedCounters counters = service->shed_counters();
     if (counters.submitted != static_cast<std::uint64_t>(next))
       violate("submitted counter " + std::to_string(counters.submitted) +
               " != " + std::to_string(next) + " submit() calls");
@@ -1131,7 +999,7 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
     // --- Per-tenant state audit.
     for (int t = 0; t < tenants; ++t) {
       const auto ti = static_cast<std::size_t>(t);
-      const rr::service::Tenant& tenant = service.tenant_quiesced(t);
+      const rr::service::Tenant& tenant = service->tenant_quiesced(t);
       const rr::baseline::OnlinePlacer& placer = tenant.placer();
       const auto live = placer.live_placements();
       const long bitmap_tiles =
@@ -1145,7 +1013,7 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
           continue;
         }
         footprint_tiles +=
-            modules[static_cast<std::size_t>(it->second)]
+            in.modules[static_cast<std::size_t>(it->second)]
                 .shapes()[static_cast<std::size_t>(p.shape)]
                 .area();
       }
@@ -1173,8 +1041,8 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
     }
   }
   const double seconds = watch.seconds();
-  service.stop();
-  const rr::service::ServiceStats stats = service.stats();
+  service->stop();
+  const rr::service::ServiceStats stats = service->stats();
   const double throughput =
       seconds > 0.0 ? static_cast<double>(trace.requests.size()) / seconds
                     : 0.0;
@@ -1190,14 +1058,14 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
     total_live += accepted[ti] - removed[ti] - lost[ti];
     total_lost += lost[ti];
   }
-  if (cli.soak_floor > 0.0 && min_fraction < cli.soak_floor)
+  const double floor = args.real("--floor");
+  if (floor > 0.0 && min_fraction < floor)
     violate("per-tenant completion floor: min fraction " +
-            std::to_string(min_fraction) + " < " +
-            std::to_string(cli.soak_floor));
+            std::to_string(min_fraction) + " < " + std::to_string(floor));
 
-  std::ostream& human = cli.stats_json_path == "-" ? std::cerr : std::cout;
+  std::ostream& human = report_stream(args);
   human << "soak: " << trace.requests.size() << " requests, " << tenants
-        << " tenants on " << service.worker_count() << " workers, " << epochs
+        << " tenants on " << service->worker_count() << " workers, " << epochs
         << " epochs  time: " << rr::TextTable::num(seconds, 3)
         << "s  throughput: " << rr::TextTable::num(throughput, 1)
         << " req/s\n";
@@ -1219,226 +1087,330 @@ int run_soak(const CliOptions& cli, const rr::fpga::PartialRegion& region,
         << "ms, max " << rr::TextTable::num(stats.latency_max_ms, 3)
         << "ms\n";
 
-  if (!cli.stats_json_path.empty()) {
-    rr::json::Value config = rr::json::Value::object();
-    config.set("fabric", rr::json::Value(cli.fabric_path));
-    config.set("modules", rr::json::Value(cli.modules_path));
-    config.set("requests", rr::json::Value(cli.soak_requests));
-    config.set("tenants", rr::json::Value(tenants));
-    config.set("epoch", rr::json::Value(cli.soak_epoch));
-    config.set("seed", rr::json::Value(cli.seed));
-    config.set("quota", rr::json::Value(cli.soak_quota));
-    config.set("deadline_base_ms", rr::json::Value(cli.soak_deadline_ms));
-    config.set("retry_budget", rr::json::Value(cli.soak_retry));
-    config.set("defrag_deadline_seconds", rr::json::Value(cli.defrag_seconds));
+  if (args.has("--stats-json")) {
+    rr::json::Value config =
+        json_object({{"fabric", args.text("--fabric")},
+                     {"modules", args.text("--modules")},
+                     {"requests", args.integer("n")},
+                     {"tenants", tenants},
+                     {"epoch", args.integer("--epoch")},
+                     {"seed", args.seed()},
+                     {"quota", args.integer("--quota")},
+                     {"deadline_base_ms", args.real("--deadline-ms")},
+                     {"retry_budget", args.integer("--retry")},
+                     {"defrag_deadline_seconds", args.real("--defrag")}});
     rr::placer::PlacementOutcome outcome;
     outcome.seconds = seconds;
-    rr::json::Value stats_doc = rr::placer::solve_stats_json(
-        region, modules, outcome, "rrplace_cli-soak", std::move(config));
-    rr::json::Value service_doc = stats.to_json();
-    service_doc.set("tenants", rr::json::Value(tenants));
-    service_doc.set("workers", rr::json::Value(service.worker_count()));
-    service_doc.set("seconds", rr::json::Value(seconds));
-    service_doc.set("throughput_rps", rr::json::Value(throughput));
-    stats_doc.set("service", std::move(service_doc));
-    rr::json::Value soak_doc = rr::json::Value::object();
-    soak_doc.set("requests", rr::json::Value(
-                                 static_cast<std::uint64_t>(
-                                     trace.requests.size())));
-    soak_doc.set("epochs", rr::json::Value(epochs));
-    soak_doc.set("violations", rr::json::Value(violations));
-    soak_doc.set("final_live", rr::json::Value(total_live));
-    soak_doc.set("lost", rr::json::Value(total_lost));
-    soak_doc.set("min_tenant_completed_fraction",
-                 rr::json::Value(min_fraction));
-    stats_doc.set("soak", std::move(soak_doc));
-    if (cli.stats_json_path == "-") {
-      std::cout << stats_doc.dump(2) << '\n';
-    } else {
-      std::ofstream out(cli.stats_json_path);
-      if (!out) {
-        std::cerr << "error: cannot write " << cli.stats_json_path << '\n';
-        return 2;
-      }
-      out << stats_doc.dump(2) << '\n';
-    }
+    Sections sections;
+    sections.emplace_back("service",
+                          service_json(stats, tenants, service->worker_count(),
+                                       seconds, throughput));
+    sections.emplace_back(
+        "soak",
+        json_object({{"requests", trace.requests.size()},
+                     {"epochs", epochs},
+                     {"violations", violations},
+                     {"final_live", total_live},
+                     {"lost", total_lost},
+                     {"min_tenant_completed_fraction", min_fraction}}));
+    if (write_stats(args, in, outcome, "rrplace_cli-soak", std::move(config),
+                    std::move(sections)) != 0)
+      return 2;
   }
   return violations == 0 ? 0 : 1;
+}
+
+// ------------------------------------------------------------ flag tables
+
+const std::vector<Command>& commands() {
+  const Flag fabric{.name = "--fabric",
+                    .kind = Kind::kText,
+                    .value = "F.fdf",
+                    .help = "fabric description",
+                    .required = true};
+  const Flag modules{.name = "--modules",
+                     .kind = Kind::kText,
+                     .value = "M.mlf",
+                     .help = "module library",
+                     .required = true};
+  const Flag no_alternatives{"--no-alternatives", Kind::kSwitch, "",
+                             "place base layouts only"};
+  const Flag seed{"--seed", Kind::kSeed, "N", "random seed", "1"};
+  const Flag quiet{"--quiet", Kind::kSwitch, "",
+                   "suppress the floorplan / per-event log"};
+  const Flag stats_json{"--stats-json", Kind::kText, "PATH|-",
+                        "write the rrplace-stats-v1 JSON document (\"-\": "
+                        "stdout; the report moves to stderr)"};
+  const Flag faults{"--faults", Kind::kText, "T.fft",
+                    "pre-damage the region with a fault trace's final map"};
+  const Flag nets{"--nets", Kind::kText, "N.net",
+                  "inter-module nets: a weighted-HPWL objective term, the "
+                  "commcost policy's ranking, recovery near net partners"};
+  const Flag comm_weight{"--comm-weight", Kind::kInt, "W",
+                         "weight of the communication term (0 disables it)",
+                         "1", 0, kInf, "--nets"};
+  const Flag bus_period{"--bus-period", Kind::kInt, "P",
+                        "overlay horizontal bus lanes every P rows", "", 1};
+  const Flag bus_offset{"--bus-offset", Kind::kInt, "R", "first bus lane row",
+                        "0", 0, kInf, "--bus-period"};
+  const Flag bus_attach{"--bus-attach", Kind::kInt, "ROW",
+                        "turn logic in this shape row into bus-macro demand "
+                        "(a row outside a shape is a model error)",
+                        "", 0, kInf, "--bus-period"};
+  // solve and faults: the offline solver.
+  const Flag time_limit{"--time-limit", Kind::kReal, "S",
+                        "solver budget in seconds", "5", 0};
+  const Flag mode{"--mode", Kind::kChoice, kModeChoices, "search mode",
+                  "auto"};
+  const Flag solver_workers{"--workers", Kind::kInt, "N", "portfolio width",
+                            "1", 1, kMaxThreads};
+  const Flag svg{"--svg", Kind::kText, "PATH", "also write an SVG floorplan"};
+  const Flag fault_trace{"trace.fft", Kind::kText, "",
+                         "fault trace, applied event by event"};
+  const Flag recovery_deadline{"--deadline", Kind::kReal, "S",
+                               "per-event recovery deadline (0: unlimited)",
+                               "0.1", 0};
+  // online, serve and soak: the online placer.
+  const Flag policy{"--policy", Kind::kChoice, kPolicyChoices,
+                    "anchor-selection policy (commcost requires --nets)",
+                    "firstfit"};
+  const Flag defrag{"--defrag", Kind::kReal, "S",
+                    "per-request defragmentation deadline (0: off)", "0", 0};
+  const Flag online_trace{"trace", Kind::kText, "",
+                          "lines \"place <id> <module>\", \"remove <id>\""};
+  // serve and soak: the placement service.
+  const Flag serve_trace{"trace", Kind::kText, "",
+                         "serve-trace grammar (service/trace.hpp)"};
+  const Flag service_workers{"--workers", Kind::kInt, "N",
+                             "service worker pool width", "4", 1, kMaxThreads};
+  const Flag queue{"--queue", Kind::kInt, "N", "per-worker queue capacity",
+                   "256", 1};
+  // Stays until every tenant holds a solve context of its own.
+  const Flag no_cache{"--no-cache", Kind::kSwitch, "",
+                      "disable the shared solve-context cache"};
+  const Flag cache_cap{
+      "--cache-cap", Kind::kInt, "N",
+      "solve-context cache LRU capacity (0: unbounded)",
+      std::to_string(rr::service::SolveContextCache::kDefaultCapacity), 0};
+  // soak and gen: the workload generator.
+  const Flag requests{"n", Kind::kInt, "", "requests to generate", "", 1};
+  const Flag tenants{"--tenants", Kind::kInt, "N",
+                     "tenants in the generated workload", "4", 1};
+  const Flag deadline_ms{"--deadline-ms", Kind::kReal, "X",
+                         "deadline base of generated places: priority class k "
+                         "gets X * 4^k ms (0: none)",
+                         "0", 0};
+  const Flag epoch{"--epoch", Kind::kInt, "N", "requests per audited epoch",
+                   "2000", 1};
+  const Flag quota{"--quota", Kind::kInt, "N",
+                   "per-tenant inflight quota (0: unlimited)", "0", 0};
+  const Flag retry{"--retry", Kind::kInt, "N",
+                   "submit retry budget on a full queue (-1: block)", "-1",
+                   -1};
+  const Flag floor{"--floor", Kind::kReal, "F",
+                   "minimum per-tenant completed fraction (0: off)", "0", 0,
+                   1};
+  const Flag output{"path", Kind::kText, "", "output file (\"-\": stdout)"};
+  const Flag module{"module", Kind::kText, "", "module name"};
+
+  static const std::vector<Command> table = {
+      {"solve",
+       "place the module library offline with the CP solver",
+       {fabric, modules, no_alternatives, time_limit, mode, solver_workers,
+        seed, svg, stats_json, faults, nets, comm_weight, bus_period,
+        bus_offset, bus_attach, quiet},
+       run_solve},
+      {"anchors",
+       "print the valid-anchor mask of a module's base shape",
+       {module, fabric, modules, faults, bus_period, bus_offset, bus_attach},
+       run_anchors},
+      {"online",
+       "replay a place/remove trace through the online placer",
+       {online_trace, fabric, modules, no_alternatives, policy, defrag, seed,
+        stats_json, faults, nets, comm_weight, bus_period, bus_offset,
+        bus_attach, quiet},
+       run_online},
+      {"faults",
+       "place offline, then recover through a fault trace",
+       {fault_trace, fabric, modules, no_alternatives, time_limit, mode,
+        solver_workers, seed, recovery_deadline, stats_json, faults, nets,
+        comm_weight, bus_period, bus_offset, bus_attach, quiet},
+       run_faults},
+      {"serve",
+       "replay a multi-tenant trace through the placement service",
+       {serve_trace, fabric, modules, no_alternatives, policy,
+        service_workers, queue, no_cache, cache_cap, stats_json, nets,
+        comm_weight, bus_period, bus_offset, bus_attach, quiet},
+       run_serve},
+      {"soak",
+       "replay a generated workload, auditing invariants per epoch",
+       {requests, fabric, modules, no_alternatives, policy, defrag, seed,
+        service_workers, queue, no_cache, cache_cap, tenants, epoch, quota,
+        deadline_ms, retry, floor, stats_json, nets, comm_weight, bus_period,
+        bus_offset, bus_attach},
+       run_soak},
+      {"gen",
+       "write the generated workload as a serve trace",
+       {requests, output, fabric, modules, seed, tenants, deadline_ms},
+       run_gen},
+  };
+  return table;
+}
+
+void print_commands(std::ostream& out) {
+  out << "usage: rrplace_cli <command> [arguments] --fabric F.fdf "
+         "--modules M.mlf [options]\ncommands:\n";
+  for (const Command& command : commands())
+    out << "  " << std::left << std::setw(8) << command.name << ' '
+        << command.summary << '\n';
+  out << "'rrplace_cli <command> --help' lists a command's options\n";
+}
+
+void print_help(const Command& command) {
+  std::cout << "usage: rrplace_cli " << command.name;
+  for (const Flag& row : command.flags) {
+    if (row.positional()) std::cout << ' ' << row.display();
+    else if (row.required) std::cout << ' ' << row.name << ' ' << row.value;
+  }
+  std::cout << " [options]\n" << command.summary << '\n';
+  for (const Flag& row : command.flags) {
+    std::string head = row.display();
+    if (!row.value.empty()) head.append(" ").append(row.value);
+    std::cout << "  " << std::left << std::setw(22) << head << ' ' << row.help;
+    if (!row.fallback.empty()) std::cout << " (default " << row.fallback << ')';
+    if (row.max < kInf) std::cout << " [" << row.min << ".." << row.max << ']';
+    else if (row.min > -kInf) std::cout << " [>= " << row.min << ']';
+    if (!row.needs.empty()) std::cout << "; requires " << row.needs;
+    std::cout << '\n';
+  }
+}
+
+// A malformed command line: one line naming the command and the problem
+// (the streamed `parts`), exit status 2.
+template <typename... Parts>
+[[noreturn]] void usage_error(const Command* command, const Parts&... parts) {
+  std::cerr << "error: ";
+  if (command != nullptr) std::cerr << command->name << ": ";
+  (std::cerr << ... << parts) << '\n';
+  if (command == nullptr) {
+    print_commands(std::cerr);
+  } else {
+    std::cerr << "'rrplace_cli " << command->name
+              << " --help' lists its options\n";
+  }
+  std::exit(2);
+}
+
+// Numbers must parse whole, reals must be finite, and both must lie within
+// the row's bounds; a choice must be one of the row's alternatives.
+void check_value(const Command& command, const Flag& row,
+                 std::string_view text) {
+  double value = 0;
+  switch (row.kind) {
+    case Kind::kSwitch:
+    case Kind::kText:
+      return;
+    case Kind::kChoice:
+      if (choice_index(row, text) >= 0) return;
+      usage_error(&command, row.display(), ": expected one of ", row.value,
+                  ", got '", text, "'");
+    case Kind::kSeed:
+      if (!parse_number<std::uint64_t>(text))
+        usage_error(&command, row.display(), ": invalid number '", text, "'");
+      return;
+    case Kind::kInt: {
+      const auto parsed = parse_number<int>(text);
+      if (!parsed)
+        usage_error(&command, row.display(), ": invalid number '", text, "'");
+      value = *parsed;
+      break;
+    }
+    case Kind::kReal: {
+      const auto parsed = parse_number<double>(text);
+      if (!parsed || !std::isfinite(*parsed))
+        usage_error(&command, row.display(), ": invalid number '", text, "'");
+      value = *parsed;
+      break;
+    }
+  }
+  if (value < row.min)
+    usage_error(&command, row.display(), ": value ", text,
+                " is below the minimum ", row.min);
+  if (value > row.max)
+    usage_error(&command, row.display(), ": value ", text,
+                " is above the maximum ", row.max);
+}
+
+Args parse_args(int argc, char** argv) {
+  if (argc < 2) usage_error(nullptr, "missing command");
+  const std::string_view name = argv[1];
+  if (name == "--help" || name == "-h") {
+    print_commands(std::cout);
+    std::exit(0);
+  }
+  const Command* command = nullptr;
+  for (const Command& candidate : commands())
+    if (candidate.name == name) command = &candidate;
+  if (command == nullptr)
+    usage_error(nullptr, "unknown command '", name, "'");
+
+  Args args(*command);
+  auto positional = command->flags.begin();
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view token = argv[i];
+    if (token == "--help" || token == "-h") {
+      print_help(*command);
+      std::exit(0);
+    }
+    const Flag* row = nullptr;
+    std::string_view value;
+    if (token.starts_with("--")) {
+      row = command->find(token);
+      if (row == nullptr)
+        usage_error(command, "unknown option '", token, "'");
+      if (row->kind != Kind::kSwitch) {
+        if (i + 1 >= argc)
+          usage_error(command, token, " needs a value");
+        value = argv[++i];
+      }
+    } else {
+      while (positional != command->flags.end() && !positional->positional())
+        ++positional;
+      if (positional == command->flags.end())
+        usage_error(command, "unexpected argument '", token, "'");
+      row = &*positional++;
+      value = token;
+    }
+    check_value(*command, *row, value);
+    args.set(row->name, value);
+  }
+
+  for (const Flag& row : command->flags) {
+    const bool given = args.has(row.name);
+    if (!given && (row.required || row.positional()))
+      usage_error(command, "missing ", row.display());
+    if (given && !row.needs.empty() && !args.has(row.needs))
+      usage_error(command, row.name, " requires ", row.needs);
+  }
+  // The commcost policy ranks anchors by the nets: without them it has
+  // nothing to rank by.
+  if (command->find("--policy") != nullptr &&
+      args.text("--policy") == "commcost" && !args.has("--nets"))
+    usage_error(command, "--policy commcost requires --nets");
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions cli = parse_args(argc, argv);
+  const Args args = parse_args(argc, argv);
   try {
-    rr::fpga::Fabric fabric_desc = rr::fpga::load_fdf(cli.fabric_path);
-    if (cli.bus_period > 0) {
-      rr::comm::BusSpec bus;
-      bus.lane_period = cli.bus_period;
-      bus.lane_offset = cli.bus_offset;
-      fabric_desc = rr::comm::with_bus_lanes(fabric_desc, bus);
-    }
-    const auto fabric =
-        std::make_shared<const rr::fpga::Fabric>(std::move(fabric_desc));
-    rr::fpga::PartialRegion region(fabric);
-    if (!cli.faults_path.empty()) {
-      // Pre-existing damage: the resulting fault map masks the region's
-      // availability, so the solve below places around the dead tiles.
-      const auto trace = rr::fpga::load_fault_trace(cli.faults_path);
-      if (trace.width != fabric->width() ||
-          trace.height != fabric->height()) {
-        std::cerr << "error: fault trace is " << trace.width << 'x'
-                  << trace.height << " but the fabric is " << fabric->width()
-                  << 'x' << fabric->height() << '\n';
-        return 2;
-      }
-      region.apply_faults(rr::fpga::fault_map_from_trace(trace));
-    }
-    auto modules = rr::model::load_mlf(cli.modules_path);
-    if (modules.empty()) {
-      std::cerr << "error: module library is empty\n";
-      return 2;
-    }
-    if (cli.bus_attach_set)
-      // Throws ModelError (exit 2 below) when the row is outside a shape.
-      modules = rr::comm::with_bus_attachment(modules, cli.bus_attach);
-    std::shared_ptr<const rr::comm::NetList> nets;
-    if (!cli.nets_path.empty())
-      nets = std::make_shared<const rr::comm::NetList>(
-          rr::comm::load_nets(cli.nets_path));
-
-    if (!cli.anchors_module.empty()) {
-      for (const auto& module : modules) {
-        if (module.name() != cli.anchors_module) continue;
-        std::cout << rr::render::anchor_mask_ascii(region,
-                                                   module.shapes().front())
-                  << rr::render::legend();
-        return 0;
-      }
-      std::cerr << "error: no module named '" << cli.anchors_module << "'\n";
-      return 2;
-    }
-
-    if (!cli.online_trace_path.empty()) {
-      // Collection must be on before the replay so the "online.defrag.*"
-      // counters reach the stats document's metrics section.
-      if (!cli.stats_json_path.empty()) rr::metrics::set_enabled(true);
-      return run_online_trace(cli, region, modules, nets);
-    }
-
-    if (!cli.fault_trace_path.empty()) {
-      if (!cli.stats_json_path.empty()) rr::metrics::set_enabled(true);
-      return run_fault_trace(cli, region, modules, nets);
-    }
-
-    if (!cli.serve_trace_path.empty()) {
-      // Collection must be on before the service spawns its workers so the
-      // per-worker metric shards (service.* counters) are recorded.
-      if (!cli.stats_json_path.empty()) rr::metrics::set_enabled(true);
-      return run_serve_trace(cli, region, fabric, modules, nets);
-    }
-
-    if (cli.soak_requests > 0) {
-      if (!cli.stats_json_path.empty()) rr::metrics::set_enabled(true);
-      return run_soak(cli, region, fabric, modules, nets);
-    }
-
-    rr::placer::PlacerOptions options;
-    options.use_alternatives = cli.alternatives;
-    options.time_limit_seconds = cli.time_limit;
-    options.mode = cli.mode;
-    options.workers = cli.workers;
-    options.seed = cli.seed;
-    options.nets = nets.get();
-    options.comm_weight = cli.comm_weight;
-    // Collection must be on before the Placer builds its Spaces: each Space
-    // snapshots the flag at construction.
-    if (!cli.stats_json_path.empty()) rr::metrics::set_enabled(true);
-    rr::placer::Placer placer(region, modules, options);
-    const auto outcome = placer.place();
-
-    if (!cli.stats_json_path.empty()) {
-      rr::json::Value config = rr::json::Value::object();
-      config.set("fabric", rr::json::Value(cli.fabric_path));
-      config.set("modules", rr::json::Value(cli.modules_path));
-      config.set("alternatives", rr::json::Value(cli.alternatives));
-      config.set("time_limit", rr::json::Value(cli.time_limit));
-      config.set("workers", rr::json::Value(cli.workers));
-      config.set("seed", rr::json::Value(cli.seed));
-      if (!cli.nets_path.empty())
-        config.set("nets", rr::json::Value(cli.nets_path));
-      rr::json::Value stats = rr::placer::solve_stats_json(
-          region, modules, outcome, "rrplace_cli", std::move(config));
-      if (nets != nullptr) {
-        long wirelength2 = 0;
-        if (outcome.solution.feasible) {
-          const rr::comm::BoundNets bound(*nets, modules);
-          std::vector<rr::comm::Center2> centers(modules.size());
-          for (const auto& p : outcome.solution.placements) {
-            const rr::Rect box = modules[static_cast<std::size_t>(p.module)]
-                                     .shapes()[static_cast<std::size_t>(p.shape)]
-                                     .bounding_box();
-            centers[static_cast<std::size_t>(p.module)] =
-                rr::comm::center2(box, p.x, p.y);
-          }
-          wirelength2 = bound.wirelength2(centers);
-        }
-        stats.set("comm",
-                  comm_stats_json(*nets, cli.comm_weight, wirelength2));
-      }
-      if (cli.stats_json_path == "-") {
-        std::cout << stats.dump(2) << '\n';
-      } else {
-        std::ofstream out(cli.stats_json_path);
-        if (!out) {
-          std::cerr << "error: cannot write " << cli.stats_json_path << '\n';
-          return 2;
-        }
-        out << stats.dump(2) << '\n';
-      }
-    }
-
-    // With --stats-json - the document owns stdout; the human-readable
-    // report moves to stderr so the output stays machine-parseable.
-    std::ostream& human =
-        cli.stats_json_path == "-" ? std::cerr : std::cout;
-
-    if (!outcome.solution.feasible) {
-      human << "infeasible"
-                << (outcome.optimal ? " (proven: no placement exists)" : "")
-                << '\n';
-      return 1;
-    }
-    const auto report = rr::placer::validate(region, modules, outcome.solution);
-    if (!report.ok()) {
-      std::cerr << "internal error: solution failed validation: "
-                << report.errors.front() << '\n';
-      return 3;
-    }
-    if (!cli.quiet) {
-      human << rr::render::placement_ascii(region, modules,
-                                               outcome.solution)
-                << rr::render::legend();
-    }
-    human << "modules: " << modules.size()
-              << "  extent: " << outcome.solution.extent
-              << (outcome.optimal ? " (optimal)" : " (best found)")
-              << "  utilization: "
-              << rr::TextTable::pct(rr::placer::spanned_utilization(
-                     region, modules, outcome.solution))
-              << "  time: " << rr::TextTable::num(outcome.seconds, 3)
-              << "s\n";
-    for (const auto& p : outcome.solution.placements) {
-      human << "  " << modules[static_cast<std::size_t>(p.module)].name()
-                << " shape=" << p.shape << " at (" << p.x << "," << p.y
-                << ")\n";
-    }
-    if (!cli.svg_path.empty()) {
-      rr::render::save_placement_svg(cli.svg_path, region, modules,
-                                     outcome.solution);
-      human << "SVG written to " << cli.svg_path << '\n';
-    }
-    return 0;
+    const Inputs inputs = load_inputs(args);
+    // Collection must be on before a Placer builds its Spaces (each Space
+    // snapshots the flag) and before the service spawns its workers, so the
+    // stats document's metrics section is complete.
+    if (args.has("--stats-json")) rr::metrics::set_enabled(true);
+    return args.command.run(args, inputs);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;
