@@ -203,6 +203,12 @@ class OnlinePlacer {
   bool have_failed_defrag_ = false;
   std::uint64_t failed_defrag_epoch_ = 0;
   int failed_defrag_min_area_ = 0;
+
+ public:
+  /// The live layout behind the placer, for its check_invariants() audit.
+  [[nodiscard]] const runtime::LiveLayout& layout() const noexcept {
+    return layout_;
+  }
 };
 
 }  // namespace rr::baseline

@@ -2,14 +2,22 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/strings.hpp"
 
 namespace rr::fpga {
+namespace {
 
-Fabric parse_fdf(std::istream& in) {
-  LineLexer line(in, "fdf");
+/// Largest fabric a header may ask for: far above any device model here,
+/// and small enough that a bad header cannot make Fabric allocate
+/// gigabytes before a single row is read.
+constexpr long kMaxFabricTiles = 1L << 24;
+
+/// Errors are located as `<source>:<line>:`.
+Fabric parse(std::istream& in, const std::string& source) {
+  LineLexer line(in, source);
   Fabric fabric;
   bool have_header = false;
   std::vector<bool> row_seen;
@@ -23,6 +31,10 @@ Fabric parse_fdf(std::istream& in) {
       if (line.size() != 4) line.fail("expected: fabric <name> <w> <h>");
       const int w = line.integer(2, kDims, 1);
       const int h = line.integer(3, kDims, 1);
+      if (static_cast<long>(w) * h > kMaxFabricTiles)
+        line.fail("fabric of " + std::to_string(w) + "x" + std::to_string(h) +
+                  " tiles exceeds the limit of " +
+                  std::to_string(kMaxFabricTiles) + " tiles");
       fabric = Fabric(w, h, ResourceType::kClb, std::string(line[1]));
       row_seen.assign(static_cast<std::size_t>(h), false);
       have_header = true;
@@ -72,7 +84,7 @@ Fabric parse_fdf(std::istream& in) {
   if (!have_header) {
     // Distinguish "no input at all" from "input without a header": the
     // former gets a message that does not point at a bogus line 0.
-    if (line.line() == 0) throw InvalidInput("fdf: empty fabric file");
+    if (line.line() == 0) throw InvalidInput(source + ": empty fabric file");
     line.fail("missing fabric header");
   }
   for (std::size_t y = 0; y < row_seen.size(); ++y) {
@@ -83,6 +95,10 @@ Fabric parse_fdf(std::istream& in) {
   return fabric;
 }
 
+}  // namespace
+
+Fabric parse_fdf(std::istream& in) { return parse(in, "fdf"); }
+
 Fabric parse_fdf_string(const std::string& text) {
   std::istringstream in(text);
   return parse_fdf(in);
@@ -91,7 +107,7 @@ Fabric parse_fdf_string(const std::string& text) {
 Fabric load_fdf(const std::string& path) {
   std::ifstream in(path);
   RR_REQUIRE(in.good(), "cannot open fabric file: " + path);
-  return parse_fdf(in);
+  return parse(in, path);
 }
 
 void write_fdf(std::ostream& out, const Fabric& fabric) {

@@ -11,8 +11,10 @@
 // those of resource_char(). Rows may appear in any order. `static`
 // rectangles retype the covered tiles to kStatic after all rows are
 // painted; a rectangle reaching outside the fabric or overlapping another
-// static rectangle is rejected with a line-numbered error ("fdf:<line>:");
-// '#' starts a comment anywhere on a line.
+// static rectangle is rejected with a line-numbered error ("<path>:<line>:"
+// from load_fdf, "fdf:<line>:" from parse_fdf); '#' starts a comment
+// anywhere on a line. A header may ask for at most 2^24 tiles (width times
+// height); a larger one is rejected before any tile is allocated.
 #pragma once
 
 #include <iosfwd>

@@ -19,10 +19,10 @@
 //   - set_available() diffs an availability bitmap (fault / repair overlay
 //     changes) and applies the per-cell deltas through the same two paths.
 //
-// Invariants (checked by tests/free_space_fuzz_test against enumerate()):
-// every stored rectangle is fully free and maximal — it cannot grow in any
-// of the four directions — and every maximal empty rectangle of the free
-// bitmap is stored exactly once.
+// Invariants (FreeSpaceIndex::check_invariants, which tests and the soak
+// harness call): every stored rectangle is fully free and maximal — it
+// cannot grow in any of the four directions — and every maximal empty
+// rectangle of the free bitmap is stored exactly once.
 //
 // Queries are exact for non-rectangular footprints: a footprint is
 // decomposed into rectangular parts (decompose_mask), and a part fits at an
@@ -38,6 +38,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "geo/rect.hpp"
@@ -181,6 +182,12 @@ class FreeSpaceIndex {
   mutable BitMatrix strip_;
   mutable int strip_lo_ = 0;  // rows [strip_lo_, strip_hi_) may be dirty
   mutable int strip_hi_ = 0;
+
+ public:
+  /// One message per broken invariant (free = available minus occupied,
+  /// free_tiles() its popcount, the MER set = enumerate(free)); empty when
+  /// consistent. Never throws or asserts. For tests and soak harnesses.
+  [[nodiscard]] std::vector<std::string> check_invariants() const;
 };
 
 }  // namespace rr

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -35,11 +37,10 @@ ShapeFootprint shape_from_rows(const std::vector<std::string>& rows,
   return ShapeFootprint::from_typed(std::move(groups));
 }
 
-}  // namespace
-
-std::vector<Module> parse_mlf(std::istream& in) {
+/// Errors are located as `<source>:<line>:`.
+std::vector<Module> parse(std::istream& in, std::string source) {
   std::vector<Module> modules;
-  LineLexer line(in, "mlf");
+  LineLexer line(in, std::move(source));
 
   std::string current_name;
   std::vector<ShapeFootprint> current_shapes;
@@ -91,6 +92,10 @@ std::vector<Module> parse_mlf(std::istream& in) {
   return modules;
 }
 
+}  // namespace
+
+std::vector<Module> parse_mlf(std::istream& in) { return parse(in, "mlf"); }
+
 std::vector<Module> parse_mlf_string(const std::string& text) {
   std::istringstream in(text);
   return parse_mlf(in);
@@ -99,7 +104,7 @@ std::vector<Module> parse_mlf_string(const std::string& text) {
 std::vector<Module> load_mlf(const std::string& path) {
   std::ifstream in(path);
   RR_REQUIRE(in.good(), "cannot open module library: " + path);
-  return parse_mlf(in);
+  return parse(in, path);
 }
 
 void write_mlf(std::ostream& out, std::span<const Module> modules) {

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -285,6 +286,15 @@ class LiveLayout {
   /// Anchor bitmaps / parts per cached table, built on first query.
   mutable std::unordered_map<const placer::ModuleTables*, ShapeQueryData>
       query_cache_;
+
+ public:
+  /// One message per broken invariant: valid shapes on tiles the region
+  /// masks offer by type (no fault, static or wrong-type tile), no overlap,
+  /// occupancy = OR of footprints, occupied_tiles() = areas = popcount, an
+  /// index in step with the masks and the occupancy, and the index's own
+  /// check. Empty when consistent; never throws or asserts. For tests and
+  /// soak harnesses.
+  [[nodiscard]] std::vector<std::string> check_invariants() const;
 };
 
 }  // namespace rr::runtime

@@ -348,4 +348,14 @@ FaultEventOutcome FaultRecoveryManager::on_fault(
   return outcome;
 }
 
+std::vector<std::string> FaultRecoveryManager::check_invariants() const {
+  std::vector<std::string> out = layout_.check_invariants();
+  for (const auto& [id, parked] : parked_)
+    if (layout_.contains(id))
+      out.push_back(std::string("recovery: instance ")
+                        .append(std::to_string(id))
+                        .append(" is both live and parked"));
+  return out;
+}
+
 }  // namespace rr::runtime

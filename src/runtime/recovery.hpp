@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -245,6 +246,11 @@ class FaultRecoveryManager {
   std::uint64_t event_no_ = 0;
   FaultRecoveryStats stats_{};
   TransitionCost recovery_cost_{};
+
+ public:
+  /// The live layout's check plus parked and live ids being disjoint; empty
+  /// when consistent. Never throws or asserts. For tests and fuzzers.
+  [[nodiscard]] std::vector<std::string> check_invariants() const;
 };
 
 }  // namespace rr::runtime

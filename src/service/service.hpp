@@ -210,6 +210,12 @@ class Tenant {
   std::shared_ptr<SolveContext> fault_free_context_;
   std::unordered_map<int, int> instance_module_;  // instance id → library idx
   std::uint64_t fabric_epoch_ = 0;
+
+ public:
+  /// The placer layout's check, the instance map holding exactly the live
+  /// ids with their library modules, and an installed context keyed by the
+  /// current fabric; empty when consistent. Never throws or asserts.
+  [[nodiscard]] std::vector<std::string> check_invariants() const;
 };
 
 struct ServiceOptions {
@@ -423,6 +429,12 @@ class PlacementService {
   std::condition_variable resume_;
   bool paused_ = false;
   std::atomic<bool> stopped_{false};
+
+ public:
+  /// Under the tenant_quiesced() contract (or after stop()): the identity
+  /// submitted == completed + total_shed() and every tenant's check, each
+  /// message prefixed "tenant <id>: "; empty when consistent.
+  [[nodiscard]] std::vector<std::string> check_invariants() const;
 };
 
 }  // namespace rr::service

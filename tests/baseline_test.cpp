@@ -51,7 +51,8 @@ TEST(Greedy, PacksPerfectInstancePerfectly) {
   const auto region = homogeneous_region(8, 4);
   std::vector<Module> modules;
   for (int i = 0; i < 8; ++i)
-    modules.push_back(rect_module("m" + std::to_string(i), 2, 2));
+    modules.push_back(
+        rect_module(std::string("m").append(std::to_string(i)), 2, 2));
   const auto outcome = place_greedy(*region, modules);
   ASSERT_TRUE(outcome.solution.feasible);
   EXPECT_EQ(outcome.solution.extent, 8);
@@ -117,7 +118,8 @@ TEST(Slots, OneModulePerSlotRun) {
   const auto region = homogeneous_region(12, 4);
   std::vector<Module> modules;
   for (int i = 0; i < 3; ++i)
-    modules.push_back(rect_module("m" + std::to_string(i), 2, 2));
+    modules.push_back(
+        rect_module(std::string("m").append(std::to_string(i)), 2, 2));
   SlotOptions options;
   options.slot_width = 4;
   const auto outcome = place_slots(*region, modules, options);
@@ -147,7 +149,8 @@ TEST(Slots, InfeasibleWhenSlotsRunOut) {
   const auto region = homogeneous_region(8, 4);
   std::vector<Module> modules;
   for (int i = 0; i < 3; ++i)
-    modules.push_back(rect_module("m" + std::to_string(i), 2, 2));
+    modules.push_back(
+        rect_module(std::string("m").append(std::to_string(i)), 2, 2));
   SlotOptions options;
   options.slot_width = 4;  // only two slots
   EXPECT_FALSE(place_slots(*region, modules, options).solution.feasible);
@@ -163,8 +166,9 @@ TEST(Slots, NeverBeatsTwoDimensionalGreedy) {
   const auto slots = place_slots(*region, modules, options);
   const auto greedy = place_greedy(*region, modules);
   ASSERT_TRUE(greedy.solution.feasible);
-  if (slots.solution.feasible)
+  if (slots.solution.feasible) {
     EXPECT_GE(slots.solution.extent, greedy.solution.extent);
+  }
 }
 
 TEST(Annealing, ProducesValidPlacement) {

@@ -30,7 +30,8 @@ TEST(Compaction, ShrinksASpreadOutPlacement) {
   const auto region = homogeneous_region(16, 4);
   std::vector<Module> modules;
   for (int i = 0; i < 4; ++i)
-    modules.push_back(rect_module("m" + std::to_string(i), 2, 2));
+    modules.push_back(
+        rect_module(std::string("m").append(std::to_string(i)), 2, 2));
   // Hand-spread placement: one module per column group.
   PlacementSolution spread;
   spread.feasible = true;
@@ -54,7 +55,8 @@ TEST(Compaction, NeverWorsensAnAlreadyTightPlacement) {
   const auto region = homogeneous_region(4, 4);
   std::vector<Module> modules;
   for (int i = 0; i < 4; ++i)
-    modules.push_back(rect_module("m" + std::to_string(i), 2, 2));
+    modules.push_back(
+        rect_module(std::string("m").append(std::to_string(i)), 2, 2));
   PlacementSolution tight;
   tight.feasible = true;
   tight.placements = {{0, 0, 0, 0}, {1, 0, 2, 0}, {2, 0, 0, 2}, {3, 0, 2, 2}};

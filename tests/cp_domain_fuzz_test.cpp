@@ -48,7 +48,9 @@ void expect_matches(const Domain& d, const std::set<int>& ref,
     int next = 0;
     const auto it = ref.lower_bound(v);
     ASSERT_EQ(d.next_geq(v, next), it != ref.end()) << context << " v=" << v;
-    if (it != ref.end()) ASSERT_EQ(next, *it) << context << " v=" << v;
+    if (it != ref.end()) {
+      ASSERT_EQ(next, *it) << context << " v=" << v;
+    }
   }
   const long k = static_cast<long>(
       probe_rng.bounded(static_cast<std::uint64_t>(ref.size())));

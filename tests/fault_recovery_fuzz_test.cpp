@@ -1,19 +1,18 @@
 // Randomized oracle test for the fault-recovery pipeline: random fault
 // sequences (tiles, rectangles, columns, repairs; transient and permanent)
 // are driven through a FaultRecoveryManager whose every intermediate state
-// is cross-checked against naive reference structures — a per-cell fault
-// map replica, an occupancy grid rebuilt from live_placements(), and a
-// from-scratch region. The invariants:
-//   - no live module ever overlaps a faulty, blocked, or static tile;
-//   - live modules never overlap each other;
-//   - occupancy bitmap and tile accounting match the rebuilt grid;
+// must pass its check_invariants() and match naive reference structures —
+// a per-cell fault map replica and a from-scratch region. The invariants:
+//   - no live module ever overlaps a faulty, blocked, or static tile, nor
+//     another live module; occupancy bitmap, tile accounting and the
+//     free-space index are exact (the manager's audit);
 //   - live + parked instances always account for every admitted module;
 //   - capacity accounting equals a freshly faulted region's availability;
 //   - the manager never throws, no matter how degraded the fabric gets.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "baseline/greedy.hpp"
@@ -44,7 +43,7 @@ Fixture make_fixture(std::uint64_t seed) {
   f.fabric =
       std::make_shared<const fpga::Fabric>(fpga::make_homogeneous(20, 8));
   f.region = std::make_shared<fpga::PartialRegion>(f.fabric);
-  // A blocked obstacle so the oracle checks region availability, not just
+  // A blocked obstacle so the audit checks region availability, not just
   // fault masking and mutual non-overlap.
   f.region->block(kBlocked);
   model::GeneratorParams params;
@@ -91,40 +90,8 @@ void check_oracle(const FaultRecoveryManager& manager, const Fixture& f,
   // The manager's fault map must track the reference replica exactly.
   ASSERT_EQ(manager.fault_map(), reference_map);
 
-  // Rebuild occupancy from scratch out of live_placements().
-  const auto placements = manager.live_placements();
-  ASSERT_EQ(static_cast<int>(placements.size()), manager.live_count());
   ASSERT_EQ(manager.live_count() + manager.parked_count(), admitted);
-
-  const BitMatrix& fault_mask = manager.region().fault_mask();
-  BitMatrix grid(manager.occupied_matrix().rows(),
-                 manager.occupied_matrix().cols());
-  long total = 0;
-  for (const auto& p : placements) {
-    const Module& module = manager.module_of(p.module);
-    ASSERT_GE(p.shape, 0);
-    ASSERT_LT(p.shape, static_cast<int>(module.shapes().size()));
-    const auto& shape = module.shapes()[static_cast<std::size_t>(p.shape)];
-    // Never on a faulty tile...
-    ASSERT_FALSE(fault_mask.intersects_shifted(shape.mask(), p.y, p.x))
-        << "instance " << p.module << " overlaps a faulty tile";
-    // ...nor on blocked/static/out-of-region cells, per the region masks...
-    for (const Point& cell : shape.all_cells().cells()) {
-      const int x = p.x + cell.x;
-      const int y = p.y + cell.y;
-      ASSERT_TRUE(manager.region().available(x, y))
-          << "instance " << p.module << " uses unavailable (" << x << ","
-          << y << ")";
-      ASSERT_FALSE(kBlocked.contains(Point{x, y}));
-    }
-    // ...nor on another live module.
-    ASSERT_FALSE(grid.intersects_shifted(shape.mask(), p.y, p.x))
-        << "instance " << p.module << " overlaps another module";
-    grid.or_shifted(shape.mask(), p.y, p.x);
-    total += shape.area();
-  }
-  ASSERT_EQ(grid, manager.occupied_matrix());
-  ASSERT_EQ(total, manager.occupied_tiles());
+  ASSERT_EQ(manager.check_invariants(), std::vector<std::string>{});
 
   // Capacity accounting: equal to a freshly faulted region's availability.
   fpga::PartialRegion fresh(f.fabric);

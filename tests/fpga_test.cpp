@@ -373,6 +373,20 @@ TEST(Fdf, EmptyInputReportsEmptyFabricFile) {
   }
 }
 
+TEST(Fdf, OversizedHeaderIsRejectedBeforeAllocation) {
+  // 10^10 tiles would be tens of gigabytes; the header alone is refused.
+  try {
+    static_cast<void>(parse_fdf_string("fabric f 100000 100000\n"));
+    FAIL() << "oversized header must throw";
+  } catch (const InvalidInput& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fdf:1: fabric of 100000x100000 tiles exceeds the "
+                        "limit of 16777216 tiles"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Fdf, UnknownResourceCharacterReportsColumn) {
   try {
     static_cast<void>(parse_fdf_string("fabric t 4 1\nrow 0 CCXC\n"));
@@ -408,7 +422,9 @@ INSTANTIATE_TEST_SUITE_P(
         "fabric t 2 1\nrow 0 CC\nstatic 0 0 a 1\n",  // non-integer static
         "fabric t 2 1\nrow 0 CC\nstatic 0 0 0 1\n",  // zero-width static
         "fabric t 2 1\nrow 0 CC\nstatic 0 0 1 -1\n",  // negative static
-        "fabric t 2 1\nrow 0 CC\nstatic 0 0 3 1\n"));  // static oob
+        "fabric t 2 1\nrow 0 CC\nstatic 0 0 3 1\n",  // static oob
+        "fabric t 4097 4096\n",                     // 2^24 + 4096 tiles
+        "fabric t 16777217 1\n"));                  // 2^24 + 1 tiles
 
 TEST(Fdf, FileRoundTrip) {
   const Fabric original = make_columnar(12, 6);

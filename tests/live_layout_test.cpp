@@ -630,21 +630,12 @@ void check_shake(const ShakeMode& mode, std::uint64_t seed,
       }
 
       // Committing the plan and admitting the request keeps the state
-      // consistent: the occupancy equals the one rebuilt from the layout.
+      // consistent, and leaves the free space the reference replay left.
       runtime::LiveLayout committed = layout;
       (void)committed.commit(*plan);
       committed.insert(request_id, request, plan->request.shape,
                        plan->request.x, plan->request.y);
-      BitMatrix grid(region.height(), region.width());
-      long tiles = 0;
-      for (const placer::ModulePlacement& p : committed.live_placements()) {
-        const geost::ShapeFootprint& fp = committed.at(p.module).footprint();
-        ASSERT_FALSE(grid.intersects_shifted(fp.mask(), p.y, p.x));
-        grid.or_shifted(fp.mask(), p.y, p.x);
-        tiles += fp.area();
-      }
-      EXPECT_EQ(grid, committed.occupied());
-      EXPECT_EQ(tiles, committed.occupied_tiles());
+      EXPECT_EQ(committed.check_invariants(), std::vector<std::string>{});
       EXPECT_EQ(committed.index().free_matrix(), free);
     }
   }
@@ -672,6 +663,64 @@ TEST(LiveLayoutShake, RecoveryModeFirstFitScannedTables) {
     check_shake({AnchorPolicy::kFirstFit, false}, seed, counts);
   EXPECT_GT(counts.planned, 0);
   EXPECT_GT(counts.refused, 0);
+}
+
+// A one-row strip of `width` CLB tiles.
+Module clb_strip(const char* name, int width) {
+  return Module(name, {model::ModuleGenerator::make_column_shape(width, 0, 1,
+                                                                 1, 0)});
+}
+
+using Violations = std::vector<std::string>;
+
+TEST(LiveLayoutAudit, NamesAModuleOnAWrongTypeTile) {
+  // BRAM columns at x = 2 and 6; every other tile is a CLB. The index tracks
+  // union availability, so insert() accepts a CLB strip across column 2 and
+  // only the typed check sees it.
+  fpga::ColumnarSpec spec;
+  spec.bram_period = 4;
+  spec.bram_offset = 2;
+  spec.dsp_period = 0;
+  spec.center_clock_column = false;
+  spec.edge_io = false;
+  const auto fabric =
+      std::make_shared<const fpga::Fabric>(fpga::make_columnar(8, 2, spec));
+  const fpga::PartialRegion region(fabric);
+  runtime::LiveLayout layout(region, true, nullptr, 0);
+  layout.insert(1, clb_strip("a", 2), 0, 0, 0);
+  EXPECT_EQ(layout.check_invariants(), Violations{});
+  layout.insert(2, clb_strip("b", 2), 0, 2, 1);
+  EXPECT_EQ(layout.check_invariants(),
+            Violations{"live layout: instance 2 (module 'b' at 2,1) is on "
+                       "tiles the region does not offer as resource 0"});
+}
+
+TEST(LiveLayoutAudit, NamesAFaultTheIndexWasNotToldAbout) {
+  const auto fabric =
+      std::make_shared<const fpga::Fabric>(fpga::make_homogeneous(6, 2));
+  fpga::PartialRegion region(fabric);
+  runtime::LiveLayout layout(region, true, nullptr, 0);
+  layout.insert(1, clb_strip("a", 2), 0, 0, 0);
+  EXPECT_EQ(layout.check_invariants(), Violations{});
+
+  // A fault under the module, applied to the region without
+  // refresh_available(): a module on a faulty tile and a stale index.
+  BitMatrix faulty(2, 6);
+  faulty.set(0, 1);
+  region.set_fault_mask(faulty);
+  const std::string on_fault =
+      "live layout: instance 1 (module 'a' at 0,0) is on tiles the region "
+      "does not offer as resource 0";
+  EXPECT_EQ(layout.check_invariants(),
+            (Violations{on_fault,
+                        "live layout: stale index: availability is not the "
+                        "union of the region masks"}));
+  // The refresh mends the index; the module stays on the fault until it
+  // is moved off.
+  layout.refresh_available();
+  EXPECT_EQ(layout.check_invariants(), Violations{on_fault});
+  layout.erase(1);
+  EXPECT_EQ(layout.check_invariants(), Violations{});
 }
 
 }  // namespace

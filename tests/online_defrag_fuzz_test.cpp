@@ -1,11 +1,12 @@
-// Randomized differential test for the online placer's defragmentation
-// path: every intermediate state (including states produced by relocation
-// commits) is checked against a naive per-cell reference grid rebuilt from
-// live_placements(). The oracle catches overlap, static-region violations,
-// tile-accounting drift, and occupancy-bitmap divergence that targeted
-// unit scenarios cannot.
+// Randomized test for the online placer's defragmentation path: every
+// intermediate state (including states produced by relocation commits) must
+// hold the trace's own record of live instances and pass the live layout's
+// check_invariants() — no overlap, no module on a static tile, exact tile
+// accounting and occupancy bitmap, an index in step — which targeted unit
+// scenarios cannot reach.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +32,7 @@ Fixture make_fixture(std::uint64_t seed) {
   f.fabric =
       std::make_shared<const fpga::Fabric>(fpga::make_homogeneous(20, 8));
   f.region = std::make_shared<fpga::PartialRegion>(f.fabric);
-  // A static obstacle so the oracle exercises region availability, not just
+  // A static obstacle so the audit exercises region availability, not just
   // mutual non-overlap.
   f.region->block(Rect{9, 2, 2, 4});
   model::GeneratorParams params;
@@ -45,43 +46,19 @@ Fixture make_fixture(std::uint64_t seed) {
   return f;
 }
 
-/// Rebuild occupancy from scratch out of live_placements() and cross-check
-/// every invariant the incremental state must preserve.
-void check_oracle(const OnlinePlacer& placer, const Fixture& f,
+/// The trace's record of live instances against the placer, then the
+/// layout's audit.
+void check_oracle(const OnlinePlacer& placer,
                   const std::unordered_map<int, Module>& live_modules) {
   const auto placements = placer.live_placements();
   ASSERT_EQ(placements.size(), live_modules.size());
   ASSERT_EQ(placer.live_count(), static_cast<int>(live_modules.size()));
-
-  BitMatrix grid(placer.occupied_matrix().rows(),
-                 placer.occupied_matrix().cols());
-  long total = 0;
   for (const auto& p : placements) {
     const auto it = live_modules.find(p.module);
     ASSERT_NE(it, live_modules.end()) << "unknown live id " << p.module;
-    const auto& shape =
-        it->second.shapes()[static_cast<std::size_t>(p.shape)];
-    const BitMatrix& mask = shape.mask();
-    for (int r = 0; r < mask.rows(); ++r) {
-      for (int c = 0; c < mask.cols(); ++c) {
-        if (!mask.get(r, c)) continue;
-        const int x = p.x + c;
-        const int y = p.y + r;
-        // Inside the region and not on a blocked/static tile.
-        ASSERT_TRUE(f.region->available(x, y))
-            << "instance " << p.module << " occupies unavailable (" << x
-            << "," << y << ")";
-        // No two live instances share a tile.
-        ASSERT_FALSE(grid.get(y, x))
-            << "overlap at (" << x << "," << y << ")";
-        grid.set(y, x);
-        ++total;
-      }
-    }
+    EXPECT_EQ(placer.layout().at(p.module).module.name(), it->second.name());
   }
-  // Incremental accounting matches the rebuilt state exactly.
-  EXPECT_EQ(total, placer.occupied_tiles());
-  EXPECT_EQ(grid, placer.occupied_matrix());
+  ASSERT_EQ(placer.layout().check_invariants(), std::vector<std::string>{});
 }
 
 void run_trace(const OnlineOptions& options, std::uint64_t seed, int steps) {
@@ -109,7 +86,8 @@ void run_trace(const OnlineOptions& options, std::uint64_t seed, int steps) {
       live_modules.erase(id);
       live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    check_oracle(placer, f, live_modules);
+    check_oracle(placer, live_modules);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // Relocation accounting is internally consistent at the end of the trace.
   const OnlineDefragStats& stats = placer.defrag_stats();

@@ -2,6 +2,9 @@
 // behavior under churn, and the service-level effect of alternatives.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baseline/online.hpp"
 #include "fpga/builders.hpp"
 #include "model/generator.hpp"
@@ -160,12 +163,8 @@ TEST(OnlineDefrag, RelocatesLiveModuleToAdmitRequest) {
   EXPECT_EQ(placer.relocation_cost().tiles_written, 4);
   EXPECT_EQ(placer.relocation_cost().modules_loaded, 1);
 
-  // The occupancy bitmap and the live placements agree (no overlap: total
-  // popcount equals summed areas).
-  long bitmap_tiles = 0;
-  for (int x = 0; x < 16; ++x)
-    bitmap_tiles += placer.occupied_matrix().get(0, x) ? 1 : 0;
-  EXPECT_EQ(bitmap_tiles, placer.occupied_tiles());
+  // The relocation left a consistent layout (no overlap, exact occupancy).
+  EXPECT_EQ(placer.layout().check_invariants(), std::vector<std::string>{});
 
   // Removing the relocated module frees its *new* footprint.
   placer.remove(3);

@@ -71,7 +71,8 @@ TEST(ModelBuilder, OverfullRegionMarksInfeasible) {
   const auto region = homogeneous_region(3, 3);
   std::vector<Module> modules;
   for (int i = 0; i < 4; ++i)
-    modules.push_back(rect_module("m" + std::to_string(i), 2, 2));
+    modules.push_back(
+        rect_module(std::string("m").append(std::to_string(i)), 2, 2));
   const BuiltModel model = build_model(*region, modules);  // 16 > 9 cells
   EXPECT_TRUE(model.infeasible);
 }
@@ -248,7 +249,8 @@ TEST(Lns, ImprovesAGreedyIncumbent) {
   const auto region = homogeneous_region(12, 6);
   std::vector<Module> modules;
   for (int i = 0; i < 6; ++i)
-    modules.push_back(rect_module("s" + std::to_string(i), 2, 3));
+    modules.push_back(
+        rect_module(std::string("s").append(std::to_string(i)), 2, 3));
   // total area: 6*6 = 36 cells over height 6 -> bound 6, achievable by
   // tiling three column pairs with two stacked modules each.
   const auto tables = prepare_tables(*region, modules, true);
@@ -282,7 +284,8 @@ TEST(ModelBuilder, SymmetryBreakingRemovesPermutations) {
   const auto region = homogeneous_region(4, 2);
   std::vector<Module> modules;
   for (int i = 0; i < 2; ++i)
-    modules.push_back(rect_module("m" + std::to_string(i), 2, 2));
+    modules.push_back(
+        rect_module(std::string("m").append(std::to_string(i)), 2, 2));
 
   auto count_solutions = [&](bool break_symmetries) {
     BuildOptions build;

@@ -6,10 +6,11 @@
 //      serial replay of that tenant's script through a fresh Tenant (the
 //      oracle shares Tenant::apply, so this pins scheduling/batching/cache
 //      effects, not the placement policy).
-//   2. No leaked tiles: the occupancy bitmap, the occupied-tile counter,
-//      and the live footprints agree exactly.
-//   3. No stale solve context: no live instance overlaps the fault mask
-//      (placements after a fault went through refreshed tables).
+//   2. PlacementService::check_invariants() passes: the accounting
+//      identity holds and every tenant's state is consistent — no leaked
+//      tiles (occupancy bitmap, occupied-tile counter and live footprints
+//      agree exactly) and no stale solve context (no live instance on a
+//      faulty tile, the installed context keyed by the current fabric).
 //
 // Runs under the `concurrent` ctest label, so the TSan CI leg executes it
 // with real thread interleavings.
@@ -17,6 +18,7 @@
 
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -172,19 +174,7 @@ TEST(ServiceSoak, ConcurrentChurnMatchesSerialOracleExactly) {
   }
 
   // --- Structural invariants per tenant.
-  for (int t = 0; t < kTenants; ++t) {
-    const Tenant& tenant = service.tenant(t);
-    // No leaked tiles: bitmap and counter agree.
-    EXPECT_EQ(static_cast<long>(tenant.placer().occupied_matrix().popcount()),
-              tenant.placer().occupied_tiles())
-        << "tenant " << t;
-    // No stale context: nothing live sits on a faulty tile.
-    const BitMatrix& faulty = tenant.region().fault_mask();
-    EXPECT_EQ(faulty.overlap_popcount_shifted(
-                  tenant.placer().occupied_matrix(), 0, 0),
-              0u)
-        << "tenant " << t;
-  }
+  EXPECT_EQ(service.check_invariants(), std::vector<std::string>{});
 
   // The soak must actually exercise the machinery it claims to cover.
   const ServiceStats stats = service.stats();
@@ -242,9 +232,7 @@ TEST(ServiceSoak, ManyClientThreadsOneTenantStaySerial) {
   for (std::thread& thread : clients) thread.join();
   service.stop();
 
-  const Tenant& tenant = service.tenant(0);
-  EXPECT_EQ(static_cast<long>(tenant.placer().occupied_matrix().popcount()),
-            tenant.placer().occupied_tiles());
+  EXPECT_EQ(service.check_invariants(), std::vector<std::string>{});
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_GT(stats.placed, 0u);
@@ -328,7 +316,7 @@ TEST(ServiceSoak, OverloadedBurstKeepsShedAccountingExact) {
   EXPECT_EQ(shed.shed_queue, 0u);
   EXPECT_EQ(shed.rejected_stopped, 0u);
   // The accounting identity, exact because every future above resolved.
-  EXPECT_EQ(shed.submitted, shed.completed + shed.total_shed());
+  EXPECT_EQ(service.check_invariants(), std::vector<std::string>{});
   // Shed requests never reach the latency distribution.
   EXPECT_EQ(service.stats().latency_count,
             static_cast<std::uint64_t>(kBurstTenants));

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "fpga/builders.hpp"
@@ -296,6 +297,7 @@ TEST(Tenant, FaultDisplacesAndRecoversWithFreshContext) {
   ASSERT_EQ(live.size(), 1u);
   EXPECT_GE(live[0].x, 1);  // off the faulty tile
   EXPECT_EQ(tenant.fabric_epoch(), 1u);
+  EXPECT_EQ(tenant.check_invariants(), std::vector<std::string>{});
 }
 
 TEST(Tenant, FaultCanLoseUnrecoverableInstances) {
@@ -316,6 +318,7 @@ TEST(Tenant, FaultCanLoseUnrecoverableInstances) {
   // The freed id is reusable (and rejected: no healthy free tile remains).
   EXPECT_EQ(tenant.apply(place_req(0, 0, 2)).status,
             Response::Status::kRejected);
+  EXPECT_EQ(tenant.check_invariants(), std::vector<std::string>{});
 }
 
 TEST(PlacementService, ServesTenantsAndCountsStats) {
@@ -361,6 +364,7 @@ TEST(PlacementService, ServesTenantsAndCountsStats) {
   EXPECT_EQ(service.submit(place_req(0, 50, 0)).get().status,
             Response::Status::kRejectedStopped);
   EXPECT_EQ(service.shed_counters().rejected_stopped, 1u);
+  EXPECT_EQ(service.check_invariants(), std::vector<std::string>{});
 }
 
 TEST(PlacementService, RejectsUnknownTenantAndBadOptions) {
@@ -428,7 +432,7 @@ TEST(PlacementService, QuotaShedsExcessInflightPerTenant) {
   EXPECT_EQ(shed.submitted, 5u);
   EXPECT_EQ(shed.shed_quota, 1u);
   EXPECT_EQ(shed.completed, 4u);
-  EXPECT_EQ(shed.submitted, shed.completed + shed.total_shed());
+  EXPECT_EQ(service.check_invariants(), std::vector<std::string>{});
 }
 
 TEST(PlacementService, FakeClockDeadlineShedsAtDequeue) {
@@ -489,7 +493,7 @@ TEST(PlacementService, SubmitRetryBudgetShedsOnFullQueue) {
   const ShedCounters counters = service.shed_counters();
   EXPECT_EQ(counters.shed_queue, 1u);
   EXPECT_EQ(counters.submit_retries, 2u);  // attempt-counted, deterministic
-  EXPECT_EQ(counters.submitted, counters.completed + counters.total_shed());
+  EXPECT_EQ(service.check_invariants(), std::vector<std::string>{});
 }
 
 TEST(ServiceStats, ToJsonCarriesShedSection) {

@@ -144,7 +144,8 @@ int run(int argc, char** argv) {
       const double pct = (cur / base - 1.0) * 100.0;
       const double signed_loss = pin.higher_is_better ? -pct : pct;
       regressed = signed_loss > max_regression_pct;
-      change = (pct >= 0 ? "+" : "") + fmt(pct) + "%";
+      change = pct >= 0 ? "+" : "";
+      change.append(fmt(pct)).append("%");
     }
     std::cout << "  " << pin.path << " ("
               << (pin.higher_is_better ? "higher" : "lower")

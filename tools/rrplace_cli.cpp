@@ -879,20 +879,19 @@ int run_gen(const Args& args, const Inputs& in) {
 }
 
 // Long-horizon soak: generate an adversarial workload (src/sim), replay it
-// through the placement service epoch by epoch, and audit end-state
-// invariants at every epoch boundary. An audit runs only after every
-// submitted future has resolved, so the shed counters are exact (inflight
-// is zero) and the workers are quiescent on every tenant — the
-// tenant_quiesced() contract. Invariants:
+// through the placement service epoch by epoch, and audit the state at
+// every epoch boundary. An audit runs only after every submitted future has
+// resolved, so the shed counters are exact (inflight is zero) and the
+// workers are quiescent on every tenant — the tenant_quiesced() contract
+// that PlacementService::check_invariants() requires. It covers the
+// accounting identity and every tenant's state (no leaked tiles, no
+// overlap, no module on a faulty tile, no stale solve context); this
+// harness adds what only the trace knows:
 //
-//   - accounting: submitted == completed + shed + stopped, exactly, and
-//     every counter equals the number of responses observed with the
-//     matching status (monotone across epochs);
-//   - no leaked tiles: per tenant, occupancy-bitmap popcount ==
-//     occupied-tile counter == sum of live footprint areas;
+//   - every counter equals the number of submit() calls or of responses
+//     observed with the matching status, and none goes backwards;
 //   - conservation: live instances == accepted places - removes - fault
 //     losses (displaced minus recovered);
-//   - no live placement overlaps a faulty tile;
 //   - optionally (--floor) every tenant completed at least the floor
 //     fraction of its submitted requests, checked once at the end.
 int run_soak(const Args& args, const Inputs& in) {
@@ -902,11 +901,6 @@ int run_soak(const Args& args, const Inputs& in) {
   const auto epoch = static_cast<std::size_t>(args.integer("--epoch"));
 
   using Status = rr::service::Response::Status;
-  // Instance → library module, recorded at submit time regardless of the
-  // admission outcome: the generator never reuses ids, so this resolves the
-  // footprint of any instance the placer reports live.
-  std::vector<std::unordered_map<int, int>> instance_module(
-      static_cast<std::size_t>(tenants));
   std::vector<long> accepted(static_cast<std::size_t>(tenants), 0);
   std::vector<long> removed(static_cast<std::size_t>(tenants), 0);
   std::vector<long> lost(static_cast<std::size_t>(tenants), 0);
@@ -922,7 +916,6 @@ int run_soak(const Args& args, const Inputs& in) {
     std::cerr << "soak: INVARIANT VIOLATION (epoch " << epochs << "): " << what
               << '\n';
   };
-  auto tenant_tag = [](int t) { return "tenant " + std::to_string(t); };
 
   rr::Stopwatch watch;
   std::size_t next = 0;
@@ -933,10 +926,7 @@ int run_soak(const Args& args, const Inputs& in) {
     inflight.clear();
     for (; next < end; ++next) {
       const rr::service::Request& request = trace.requests[next];
-      const auto t = static_cast<std::size_t>(request.tenant);
-      if (request.op == rr::service::RequestOp::kPlace)
-        instance_module[t][request.instance] = request.module;
-      ++tenant_submitted[t];
+      ++tenant_submitted[static_cast<std::size_t>(request.tenant)];
       inflight.emplace_back(next, service->submit(request));
     }
     for (auto& [index, future] : inflight) {
@@ -971,16 +961,11 @@ int run_soak(const Args& args, const Inputs& in) {
     }
     ++epochs;
 
-    // --- Accounting audit.
+    // --- Accounting against the trace, then the service's own audit.
     const rr::service::ShedCounters counters = service->shed_counters();
     if (counters.submitted != static_cast<std::uint64_t>(next))
       violate("submitted counter " + std::to_string(counters.submitted) +
               " != " + std::to_string(next) + " submit() calls");
-    if (counters.submitted != counters.completed + counters.total_shed())
-      violate("identity broken: submitted " +
-              std::to_string(counters.submitted) + " != completed " +
-              std::to_string(counters.completed) + " + shed " +
-              std::to_string(counters.total_shed()));
     if (counters.completed != observed_completed ||
         counters.shed_deadline != observed_deadline ||
         counters.shed_quota != observed_quota ||
@@ -995,49 +980,19 @@ int run_soak(const Args& args, const Inputs& in) {
         counters.submit_retries < previous.submit_retries)
       violate("a shed counter went backwards");
     previous = counters;
+    for (const std::string& violation : service->check_invariants())
+      violate(violation);
 
-    // --- Per-tenant state audit.
+    // --- Conservation per tenant.
     for (int t = 0; t < tenants; ++t) {
       const auto ti = static_cast<std::size_t>(t);
-      const rr::service::Tenant& tenant = service->tenant_quiesced(t);
-      const rr::baseline::OnlinePlacer& placer = tenant.placer();
-      const auto live = placer.live_placements();
-      const long bitmap_tiles =
-          static_cast<long>(placer.occupied_matrix().popcount());
-      long footprint_tiles = 0;
-      for (const auto& p : live) {
-        const auto it = instance_module[ti].find(p.module);
-        if (it == instance_module[ti].end()) {
-          violate(tenant_tag(t) + ": live instance " +
-                  std::to_string(p.module) + " the trace never placed");
-          continue;
-        }
-        footprint_tiles +=
-            in.modules[static_cast<std::size_t>(it->second)]
-                .shapes()[static_cast<std::size_t>(p.shape)]
-                .area();
-      }
-      if (bitmap_tiles != placer.occupied_tiles())
-        violate(tenant_tag(t) + ": bitmap popcount " +
-                std::to_string(bitmap_tiles) + " != occupied-tile counter " +
-                std::to_string(placer.occupied_tiles()));
-      if (footprint_tiles != placer.occupied_tiles())
-        violate(tenant_tag(t) + ": leaked tiles: live footprints cover " +
-                std::to_string(footprint_tiles) + " but " +
-                std::to_string(placer.occupied_tiles()) + " are occupied");
-      if (static_cast<long>(live.size()) != placer.live_count())
-        violate(tenant_tag(t) + ": live_count " +
-                std::to_string(placer.live_count()) + " != " +
-                std::to_string(live.size()) + " live placements");
-      if (placer.live_count() != accepted[ti] - removed[ti] - lost[ti])
-        violate(tenant_tag(t) + ": conservation broken: " +
-                std::to_string(placer.live_count()) + " live != " +
+      const int live = service->tenant_quiesced(t).placer().live_count();
+      if (live != accepted[ti] - removed[ti] - lost[ti])
+        violate("tenant " + std::to_string(t) + ": conservation broken: " +
+                std::to_string(live) + " live != " +
                 std::to_string(accepted[ti]) + " accepted - " +
                 std::to_string(removed[ti]) + " removed - " +
                 std::to_string(lost[ti]) + " lost");
-      if (placer.occupied_matrix().intersects_shifted(
-              tenant.region().fault_mask(), 0, 0))
-        violate(tenant_tag(t) + ": a live placement covers a faulty tile");
     }
   }
   const double seconds = watch.seconds();
