@@ -9,6 +9,7 @@
 
 #include "rrplace.hpp"
 #include "util/env.hpp"
+#include "util/simd/simd.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -46,23 +47,36 @@ struct EvalConfig {
     doc.set("modules", json::Value(modules));
     doc.set("time_limit", json::Value(time_limit));
     doc.set("seed", json::Value(seed));
+    // A record is only comparable with one taken at the same dispatch
+    // level (RRPLACE_SIMD=off gives "scalar").
+    doc.set("simd", json::Value(simd::level_name(simd::active_level())));
     return doc;
   }
 };
+
+/// Which direction of a pinned metric counts as better.
+enum class Better { kHigher, kLower };
 
 /// Observability hook for bench harnesses. Construct it first thing in
 /// main(): when $RRPLACE_BENCH_JSON is set (1 for the default location,
 /// anything else as a directory), it enables metrics collection and, on
 /// destruction, writes an `rrplace-bench-v1` record
 ///
-///   {"schema", "bench", "config", "results", "metrics"}
+///   {"schema", "bench", "config", "gate", "results", "metrics"}
 ///
 /// to BENCH_<name>.json — the trajectory file CI archives and
 /// tools/check_stats_json validates. Add result rows via add_result().
+///
+/// The record's gate is what CI holds against the committed baseline in
+/// bench/baselines/: tools/bench_diff fails when a pin() metric moves the
+/// wrong way by more than `max_regression_pct` percent. Pin ratios and
+/// counts (speedups, mismatch counts), not wall-clock times: both arms of a
+/// ratio share the machine, so it survives runner speed differences.
 class StatsJsonWriter {
  public:
-  StatsJsonWriter(std::string bench_name, const EvalConfig& config)
-      : name_(std::move(bench_name)) {
+  StatsJsonWriter(std::string bench_name, const EvalConfig& config,
+                  double max_regression_pct = 25.0)
+      : name_(std::move(bench_name)), max_regression_pct_(max_regression_pct) {
     const std::string mode = env_string("RRPLACE_BENCH_JSON", "");
     if (mode.empty() || mode == "0") return;
     enabled_ = true;
@@ -89,6 +103,13 @@ class StatsJsonWriter {
     results_.set(key, std::move(entry));
   }
 
+  /// Gate result `key` (a summary gates on its mean). A baseline of 0
+  /// turns the check absolute: a kLower metric must stay 0, a kHigher one
+  /// always passes.
+  void pin(std::string_view key, Better better) {
+    pins_.set(key, json::Value(better == Better::kHigher ? "higher" : "lower"));
+  }
+
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   ~StatsJsonWriter() {
@@ -98,6 +119,10 @@ class StatsJsonWriter {
     doc.set("bench", json::Value(name_));
     doc.set("config", config_.is_object() ? std::move(config_)
                                           : json::Value::object());
+    json::Value gate = json::Value::object();
+    gate.set("max_regression_pct", json::Value(max_regression_pct_));
+    gate.set("pins", std::move(pins_));
+    doc.set("gate", std::move(gate));
     doc.set("results", results_.is_object() ? std::move(results_)
                                             : json::Value::object());
     doc.set("metrics", metrics::global().to_json());
@@ -113,10 +138,12 @@ class StatsJsonWriter {
 
  private:
   std::string name_;
+  double max_regression_pct_;
   bool enabled_ = false;
   std::string directory_;
   json::Value config_;
   json::Value results_ = json::Value::object();
+  json::Value pins_ = json::Value::object();
 };
 
 /// The paper's evaluation workload generator (§V.A): 20-100 CLBs, 0-4

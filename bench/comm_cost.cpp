@@ -7,7 +7,9 @@
 // reports the live-wirelength reduction the communication term buys and
 // what it costs in acceptance.
 //
-// Two differential pins ride along (CI holds both at zero via bench_diff):
+// wirelength_reduction is the headline claim: the comm term buys shorter
+// nets at equal-or-better acceptance. Two differential oracles ride along,
+// both held at zero:
 //   - zero_weight_mismatches: the commcost policy with comm_weight = 0 must
 //     take byte-identical decisions to first fit (the zero-weight oracle);
 //   - index_sweep_mismatches: the production placer (free-space index) and
@@ -133,7 +135,7 @@ long count_mismatches(const TraceResult& a, const TraceResult& b) {
 int main() {
   using namespace rr;
   const bench::EvalConfig config = bench::EvalConfig::from_env();
-  bench::StatsJsonWriter record("comm_cost", config);
+  bench::StatsJsonWriter record("comm_cost", config, /*max_regression_pct=*/50);
   config.print(std::cout);
   const int steps = env_int("RRPLACE_STEPS", 400);
   const long comm_weight = env_int("RRPLACE_COMM_WEIGHT", 8);
@@ -200,12 +202,16 @@ int main() {
   record.add_result("requests", json::Value(requests));
   record.add_result("acceptance_first_fit", accept_ff);
   record.add_result("acceptance_comm", accept_comm);
+  record.pin("acceptance_comm", bench::Better::kHigher);
   record.add_result("wirelength2_first_fit", wl_ff);
   record.add_result("wirelength2_comm", wl_comm);
   record.add_result("wirelength_reduction", reduction);
+  record.pin("wirelength_reduction", bench::Better::kHigher);
   record.add_result("zero_weight_mismatches",
                     json::Value(zero_weight_mismatches));
+  record.pin("zero_weight_mismatches", bench::Better::kLower);
   record.add_result("index_sweep_mismatches",
                     json::Value(index_sweep_mismatches));
+  record.pin("index_sweep_mismatches", bench::Better::kLower);
   return 0;
 }

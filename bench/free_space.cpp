@@ -127,7 +127,8 @@ struct Scenario {
 int main() {
   using namespace rr;
   const bench::EvalConfig config = bench::EvalConfig::from_env();
-  bench::StatsJsonWriter record("free_space", config);
+  bench::StatsJsonWriter record("free_space", config,
+                                /*max_regression_pct=*/50);
   config.print(std::cout);
   const int probes = env_int("RRPLACE_STEPS", 200);
 
@@ -209,7 +210,9 @@ int main() {
 
   record.add_result("probes", json::Value(probes));
   record.add_result("index_speedup", large_hot_speedup);
+  record.pin("index_speedup", bench::Better::kHigher);
   record.add_result("decision_mismatches", json::Value(mismatches));
+  record.pin("decision_mismatches", bench::Better::kLower);
   for (std::size_t s = 0; s < std::size(scenarios); ++s) {
     const std::string key = std::string(scenarios[s].grid) + "_" +
                             std::to_string(static_cast<int>(

@@ -85,7 +85,9 @@ int main() {
   record.add_result("geost_ms_incremental", incr_ms);
   record.add_result("geost_ms_scratch", scratch_ms);
   record.add_result("speedup", speedup);
+  record.pin("speedup", bench::Better::kHigher);
   record.add_result("mismatches", json::Value(mismatches));
+  record.pin("mismatches", bench::Better::kLower);
   record.add_result("infeasible_runs", json::Value(infeasible));
   if (mismatches > 0) {
     std::cerr << "ENGINE MISMATCH: incremental and from-scratch kernels "

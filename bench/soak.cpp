@@ -18,13 +18,6 @@
 // All arms run max_batch = 1: batch drains would execute queued requests
 // back-to-back and fold queue wait into whichever request drains last,
 // muddying the per-request deadline bound the shed arm demonstrates.
-//
-// Pinned contract (bench_diff on BENCH_soak.json): shed_p99_within_bound
-// stays 1 (mean accepted-p99 ratio <= 1.5, the ISSUE acceptance bound),
-// invariant_violations stays 0 (PlacementService::check_invariants() passes
-// in every arm, and the future statuses clients observed match the service
-// counters), shed_rate stays high, and control_p99_ratio stays well above
-// the shed ratio — the control arm really does degrade.
 #include <algorithm>
 #include <future>
 #include <iostream>
@@ -177,7 +170,8 @@ long audit(const ArmResult& result, std::uint64_t expected_submitted) {
 int main() {
   using namespace rr;
   const bench::EvalConfig config = bench::EvalConfig::from_env();
-  bench::StatsJsonWriter record("soak", config);
+  // Queue-depth ratios are noisy, hence the generous bound.
+  bench::StatsJsonWriter record("soak", config, /*max_regression_pct=*/60);
   config.print(std::cout);
   const int tenants = env_int("RRPLACE_TENANTS", 4);
   const int workers = env_int("RRPLACE_SERVE_WORKERS", 2);
@@ -238,9 +232,9 @@ int main() {
       shed_rate.add(static_cast<double>(shed.stats.shed.total_shed()) /
                     static_cast<double>(shed.stats.shed.submitted));
   }
-  // The acceptance bound as a hard 0/1 gate: bench_diff treats a baseline
-  // of 1 with pin :higher as "must not drop", so a run whose mean accepted
-  // p99 exceeds 1.5x unloaded fails CI outright instead of by percentage.
+  // The acceptance bound (mean accepted p99 <= 1.5x unloaded) as a 0/1
+  // result: pinned against a baseline of 1, a run that breaks it fails
+  // outright instead of by percentage.
   const long within_bound =
       shed_ratio.count() > 0 && shed_ratio.mean() <= 1.5 ? 1 : 0;
 
@@ -272,9 +266,17 @@ int main() {
   record.add_result("shed_p99_ms", shed_p99);
   record.add_result("control_p99_ms", control_p99);
   record.add_result("shed_p99_ratio", shed_ratio);
+  // The no-shedding control really does degrade.
   record.add_result("control_p99_ratio", control_ratio);
+  record.pin("control_p99_ratio", bench::Better::kHigher);
+  // The service actually sheds under 2x+ saturation.
   record.add_result("shed_rate", shed_rate);
+  record.pin("shed_rate", bench::Better::kHigher);
   record.add_result("shed_p99_within_bound", json::Value(within_bound));
+  record.pin("shed_p99_within_bound", bench::Better::kHigher);
+  // check_invariants() passes in every arm, and the statuses clients
+  // observed match the service counters.
   record.add_result("invariant_violations", json::Value(violations));
+  record.pin("invariant_violations", bench::Better::kLower);
   return violations == 0 ? 0 : 1;
 }

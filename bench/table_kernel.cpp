@@ -14,9 +14,8 @@
 //      time).
 //
 // The combined speedup (scanning / compact, summed over both kinds) is the
-// headline number; CI pins it via tools/bench_diff against the committed
-// baseline. Any tree divergence exits nonzero — it is an engine bug, not
-// noise.
+// headline number. Any tree divergence exits nonzero — it is an engine bug,
+// not noise.
 #include "bench_common.hpp"
 #include "reference/reduced_model.hpp"
 #include "reference/table.hpp"
@@ -215,11 +214,15 @@ int main() {
   record.add_result("element_ms_compact", element_compact_ms);
   record.add_result("element_ms_scanning", element_scan_ms);
   record.add_result("element_speedup", element_speedup);
+  record.pin("element_speedup", bench::Better::kHigher);
   record.add_result("table_ms_compact", table_compact_ms);
   record.add_result("table_ms_scanning", table_scan_ms);
   record.add_result("table_speedup", table_speedup);
+  record.pin("table_speedup", bench::Better::kHigher);
   record.add_result("combined_speedup", json::Value(combined_speedup));
+  record.pin("combined_speedup", bench::Better::kHigher);
   record.add_result("mismatches", json::Value(mismatches));
+  record.pin("mismatches", bench::Better::kLower);
   record.add_result("infeasible_runs", json::Value(infeasible));
   if (mismatches > 0) {
     std::cerr << "ENGINE MISMATCH: compact and scanning propagators "

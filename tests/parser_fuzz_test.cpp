@@ -6,8 +6,9 @@
 // drops and duplicates, line truncations and CRLF conversion. Each mutant
 // must either parse, or be rejected with an InvalidInput located as
 // "<source>:<line>: ..." (only the empty-input messages carry no line). No
-// other exception type may escape a parser. Accepted .fdf / .mlf / .fft /
-// serve inputs must round-trip parse -> write -> parse to equal values.
+// other exception type may escape a parser. Accepted inputs must
+// round-trip parse -> write -> parse to equal values (.net through a
+// renderer local to this file: the library has no .net writer).
 // The budget is fixed so the suite runs in seconds, sanitizers included.
 #include <gtest/gtest.h>
 
@@ -199,6 +200,20 @@ void expect_same_modules(const std::vector<model::Module>& a,
   }
 }
 
+// Renders `nets` in the .net format: modules first, then terminals. Each
+// Net keeps the two kinds in separate lists, so the order between them does
+// not survive a parse anyway.
+std::string render_nets(const comm::NetList& nets) {
+  std::ostringstream out;
+  for (const comm::Net& net : nets.nets) {
+    out << "net " << net.weight;
+    for (const std::string& module : net.modules) out << ' ' << module;
+    for (const Point& t : net.terminals) out << " @" << t.x << ',' << t.y;
+    out << '\n';
+  }
+  return out.str();
+}
+
 void expect_same_serve(const service::ServeTrace& a,
                        const service::ServeTrace& b) {
   EXPECT_EQ(a.tenants, b.tenants);
@@ -261,7 +276,18 @@ TEST(ParserFuzz, Fft) {
 
 TEST(ParserFuzz, Net) {
   fuzz(read_data("sample_nets.net"), 4, "net", "",
-       [](const std::string& text) { (void)comm::parse_nets(text); });
+       [](const std::string& text) {
+         const comm::NetList nets = comm::parse_nets(text);
+         const comm::NetList again = comm::parse_nets(render_nets(nets));
+         ASSERT_EQ(again.nets.size(), nets.nets.size());
+         for (std::size_t i = 0; i < nets.nets.size(); ++i) {
+           const comm::Net& a = again.nets[i];
+           const comm::Net& b = nets.nets[i];
+           EXPECT_EQ(a.weight, b.weight) << "net " << i;
+           EXPECT_EQ(a.modules, b.modules) << "net " << i;
+           EXPECT_EQ(a.terminals, b.terminals) << "net " << i;
+         }
+       });
 }
 
 void fuzz_serve(const std::string& seed_text, std::uint64_t stream) {

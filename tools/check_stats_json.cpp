@@ -139,15 +139,14 @@ void check_stats_v1(const Value& doc) {
 
 // A bench result is either a plain number or a {count,mean,min,max}
 // RunningStats summary with a numeric mean.
-void check_result_metric(const Value& results, const char* key) {
-  require(results.contains(key),
-          std::string("results missing key \"") + key + "\"");
+void check_result_metric(const Value& results, const std::string& key) {
+  require(results.contains(key), "results missing key \"" + key + "\"");
   const Value& v = results.at(key);
   if (v.is_object()) {
     check_number(v, "mean");
   } else {
-    require(v.is_number(), std::string("results.") + key +
-                               " must be a number or summary object");
+    require(v.is_number(),
+            "results." + key + " must be a number or summary object");
   }
 }
 
@@ -180,68 +179,17 @@ void check_bench_v1(const Value& doc) {
           "metrics.counters must be an object");
   require(metrics.at("timers").is_object(),
           "metrics.timers must be an object");
-  // Per-bench contracts: the metrics that CI pins via bench_diff must be
-  // present, so a refactor cannot silently drop them from the record.
-  const std::string& bench = doc.at("bench").as_string();
-  const Value& results = doc.at("results");
-  if (bench == "table_kernel") {
-    for (const char* key : {"element_speedup", "table_speedup",
-                            "combined_speedup", "mismatches"})
-      check_result_metric(results, key);
-  } else if (bench == "nonoverlap_kernel") {
-    for (const char* key : {"speedup", "mismatches"})
-      check_result_metric(results, key);
-  } else if (bench == "anchor_kernel") {
-    for (const char* key : {"anchor_speedup", "conflict_speedup",
-                            "word_kernel_speedup", "mismatches"})
-      check_result_metric(results, key);
-  } else if (bench == "online_service") {
-    for (const char* key :
-         {"acceptance_without", "acceptance_with", "acceptance_defrag",
-          "acceptance_gain", "defrag_attempts", "defrag_successes",
-          "defrag_exact_successes", "defrag_greedy_successes",
-          "defrag_relocated_modules", "defrag_relocated_tiles",
-          "defrag_deadline_expiries", "defrag_rejects"})
-      check_result_metric(results, key);
-    check_relocate_stages(metrics);
-  } else if (bench == "service_load") {
-    for (const char* key :
-         {"requests", "throughput_rps", "throughput_rps_uncached",
-          "cache_speedup", "cache_hit_rate", "latency_p50_ms",
-          "latency_p99_ms", "latency_p99_ms_uncached",
-          "latency_service_p99_ms", "latency_queue_p99_ms",
-          "batched_fraction", "mismatches"})
-      check_result_metric(results, key);
-  } else if (bench == "free_space") {
-    for (const char* key :
-         {"probes", "index_speedup", "decision_mismatches",
-          "speedup_eval_50", "speedup_eval_80", "speedup_large_50",
-          "speedup_large_80"})
-      check_result_metric(results, key);
-  } else if (bench == "comm_cost") {
-    for (const char* key :
-         {"requests", "wirelength2_first_fit", "wirelength2_comm",
-          "wirelength_reduction", "acceptance_first_fit", "acceptance_comm",
-          "zero_weight_mismatches", "index_sweep_mismatches"})
-      check_result_metric(results, key);
-  } else if (bench == "soak") {
-    for (const char* key :
-         {"requests", "tenants", "workers", "wave", "deadline_ms",
-          "unloaded_p99_ms", "shed_p99_ms", "control_p99_ms",
-          "shed_p99_ratio", "control_p99_ratio", "shed_rate",
-          "shed_p99_within_bound", "invariant_violations"})
-      check_result_metric(results, key);
-  } else if (bench == "fault_recovery") {
-    for (const char* key :
-         {"recovered_fraction", "recovered_fraction_base",
-          "utilization_retained", "utilization_retained_base",
-          "capacity_retained", "recovery_seconds", "modules_hit_mean",
-          "parked_mean", "events", "tiles_faulted", "inplace_swaps",
-          "local_replaces", "defrag_recoveries", "greedy_recoveries",
-          "parked", "retry_recoveries", "abandoned", "deadline_expiries",
-          "relocated_modules", "relocated_tiles"})
-      check_result_metric(results, key);
+  // Every pin names a numeric or summary result and a direction.
+  const Value& gate = doc.at("gate");
+  check_number(gate, "max_regression_pct");
+  require(gate.at("pins").is_object(), "gate.pins must be an object");
+  for (const auto& [key, direction] : gate.at("pins").members()) {
+    check_result_metric(doc.at("results"), key);
+    const std::string dir = direction.is_string() ? direction.as_string() : "";
+    require(dir == "higher" || dir == "lower",
+            "gate.pins." + key + " must be \"higher\" or \"lower\"");
   }
+  check_relocate_stages(metrics);
 }
 
 void check_file(const std::string& path) {
