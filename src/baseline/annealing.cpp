@@ -6,12 +6,20 @@
 #include <limits>
 
 #include "baseline/greedy.hpp"
-#include "geost/object.hpp"
+#include "placer/model_builder.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rr::baseline {
 namespace {
+
+/// The walk's schedule: initial temperature, geometric cooling factor per
+/// round, moves attempted per round (scaled by module count), and the cost
+/// of each doubly-occupied tile.
+constexpr double kInitialTemperature = 8.0;
+constexpr double kCooling = 0.95;
+constexpr int kMovesPerRoundPerModule = 40;
+constexpr double kOverlapWeight = 4.0;
 
 /// Per-tile occupancy counter so overlap cells can be updated in O(shape).
 class CountGrid {
@@ -53,33 +61,23 @@ placer::PlacementOutcome place_annealing(
   placer::PlacementOutcome outcome;
   Rng rng(options.seed);
 
-  struct Candidate {
-    std::vector<geost::ShapeFootprint> shapes;
-    std::vector<geost::Placement> table;
-  };
-  std::vector<Candidate> candidates(modules.size());
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    Candidate& c = candidates[i];
-    if (options.use_alternatives) c.shapes = modules[i].shapes();
-    else c.shapes.push_back(modules[i].shapes().front());
-    std::vector<std::vector<Point>> anchors;
-    anchors.reserve(c.shapes.size());
-    for (const geost::ShapeFootprint& shape : c.shapes)
-      anchors.push_back(geost::compute_valid_anchors(region.masks(), shape));
-    c.table = geost::sorted_placement_table(c.shapes, anchors);
-    if (c.table.empty()) {
+  std::vector<placer::ModuleTables> tables;
+  tables.reserve(modules.size());
+  for (const model::Module& module : modules) {
+    tables.push_back(placer::prepare_module_tables(
+        region, module, options.use_alternatives));
+    if (tables.back().table.empty()) {
       outcome.seconds = watch.seconds();
       return outcome;  // unplaceable module: infeasible
     }
   }
 
   const auto shape_of = [&](std::size_t i, int value) -> const geost::ShapeFootprint& {
-    const geost::Placement& p = candidates[i].table[static_cast<std::size_t>(value)];
-    return candidates[i].shapes[static_cast<std::size_t>(p.shape)];
+    const geost::Placement& p = tables[i].table[static_cast<std::size_t>(value)];
+    return (*tables[i].shapes)[static_cast<std::size_t>(p.shape)];
   };
   const auto extent_of = [&](std::size_t i, int value) {
-    const geost::Placement& p = candidates[i].table[static_cast<std::size_t>(value)];
-    return p.x + shape_of(i, value).bounding_box().width;
+    return tables[i].extents[static_cast<std::size_t>(value)];
   };
 
   // Initial state: greedy when it succeeds (fast descent start), otherwise
@@ -93,14 +91,8 @@ placer::PlacementOutcome place_annealing(
     if (greedy.solution.feasible) {
       for (std::size_t i = 0; i < modules.size(); ++i) {
         const placer::ModulePlacement& mp = greedy.solution.placements[i];
-        const auto& table = candidates[i].table;
-        for (std::size_t v = 0; v < table.size(); ++v) {
-          if (table[v].shape == mp.shape && table[v].x == mp.x &&
-              table[v].y == mp.y) {
-            state[i] = static_cast<int>(v);
-            break;
-          }
-        }
+        state[i] = placer::find_placement(tables[i], mp.shape, mp.x, mp.y);
+        RR_ASSERT(state[i] >= 0);
       }
     }
   }
@@ -115,7 +107,7 @@ placer::PlacementOutcome place_annealing(
   const bool comm_on = !bound_nets.empty();
   const auto center_of = [&](std::size_t i, int value) {
     const geost::Placement& p =
-        candidates[i].table[static_cast<std::size_t>(value)];
+        tables[i].table[static_cast<std::size_t>(value)];
     return comm::center2(shape_of(i, value).bounding_box(), p.x, p.y);
   };
   std::vector<comm::Center2> centers(comm_on ? modules.size() : 0);
@@ -124,15 +116,14 @@ placer::PlacementOutcome place_annealing(
   int overlap_tiles = 0;
   std::vector<int> extents(modules.size());
   for (std::size_t i = 0; i < modules.size(); ++i) {
-    const geost::Placement& p = candidates[i].table[static_cast<std::size_t>(state[i])];
+    const geost::Placement& p = tables[i].table[static_cast<std::size_t>(state[i])];
     overlap_tiles += grid.apply(shape_of(i, state[i]), p.x, p.y, +1);
     extents[i] = extent_of(i, state[i]);
     if (comm_on) centers[i] = center_of(i, state[i]);
   }
   auto cost = [&]() {
     const int extent = *std::max_element(extents.begin(), extents.end());
-    double c = static_cast<double>(extent) +
-               options.overlap_weight * overlap_tiles;
+    double c = static_cast<double>(extent) + kOverlapWeight * overlap_tiles;
     if (comm_on) {
       c += static_cast<double>(options.comm_weight) *
            static_cast<double>(bound_nets.wirelength2(centers)) /
@@ -153,13 +144,13 @@ placer::PlacementOutcome place_annealing(
   consider_best();
 
   const Deadline deadline(options.time_limit_seconds);
-  double temperature = options.initial_temperature;
-  const int moves_per_round = options.moves_per_round_per_module *
-                              static_cast<int>(modules.size());
+  double temperature = kInitialTemperature;
+  const int moves_per_round =
+      kMovesPerRoundPerModule * static_cast<int>(modules.size());
   while (!deadline.expired() && temperature > 1e-3) {
     for (int move = 0; move < moves_per_round; ++move) {
-      const std::size_t i = rng.pick_index(candidates);
-      const auto& table = candidates[i].table;
+      const std::size_t i = rng.pick_index(tables);
+      const auto& table = tables[i].table;
       // Bias toward low (bottom-left) table entries: squaring the uniform
       // draw concentrates mass near 0 while keeping full support.
       const double u = rng.uniform01();
@@ -190,7 +181,7 @@ placer::PlacementOutcome place_annealing(
         if (comm_on) centers[i] = center_of(i, old_value);
       }
     }
-    temperature *= options.cooling;
+    temperature *= kCooling;
   }
 
   if (!best_state.empty()) {
@@ -198,7 +189,7 @@ placer::PlacementOutcome place_annealing(
     solution.feasible = true;
     for (std::size_t i = 0; i < modules.size(); ++i) {
       const geost::Placement& p =
-          candidates[i].table[static_cast<std::size_t>(best_state[i])];
+          tables[i].table[static_cast<std::size_t>(best_state[i])];
       solution.placements.push_back(placer::ModulePlacement{
           static_cast<int>(i), p.shape, p.x, p.y});
       solution.extent = std::max(solution.extent, extent_of(i, best_state[i]));

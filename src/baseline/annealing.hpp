@@ -20,13 +20,6 @@ struct AnnealingOptions {
   bool use_alternatives = true;
   double time_limit_seconds = 2.0;
   std::uint64_t seed = 1;
-  /// Initial temperature and geometric cooling factor per round.
-  double initial_temperature = 8.0;
-  double cooling = 0.95;
-  /// Moves attempted per temperature (scaled by module count).
-  int moves_per_round_per_module = 40;
-  /// Cost weight of each doubly-occupied tile.
-  double overlap_weight = 4.0;
   /// Optional inter-module nets: with comm_weight > 0 the walk minimizes
   /// extent + overlap penalty + comm_weight * HPWL2 / comm::kExtentScale
   /// (the CP objective's relative scaling, in tiles). Null nets or

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "geost/object.hpp"
+#include "baseline/online.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rr::baseline {
@@ -14,104 +14,44 @@ placer::PlacementOutcome place_greedy(const fpga::PartialRegion& region,
   Stopwatch watch;
   placer::PlacementOutcome outcome;
 
-  // Per-module sorted placement tables (same machinery as the CP model).
-  struct Candidate {
-    std::vector<geost::ShapeFootprint> shapes;
-    std::vector<geost::Placement> table;
-    int min_area = 0;
-  };
-  std::vector<Candidate> candidates(modules.size());
+  std::vector<int> min_area(modules.size());
   for (std::size_t i = 0; i < modules.size(); ++i) {
-    Candidate& c = candidates[i];
-    if (options.use_alternatives) {
-      c.shapes = modules[i].shapes();
-    } else {
-      c.shapes.push_back(modules[i].shapes().front());
-    }
-    std::vector<std::vector<Point>> anchors;
-    anchors.reserve(c.shapes.size());
-    for (const geost::ShapeFootprint& shape : c.shapes)
-      anchors.push_back(geost::compute_valid_anchors(region.masks(), shape));
-    c.table = geost::sorted_placement_table(c.shapes, anchors);
-    c.min_area = c.shapes.front().area();
-    for (const geost::ShapeFootprint& shape : c.shapes)
-      c.min_area = std::min(c.min_area, shape.area());
+    min_area[i] = options.use_alternatives
+                      ? modules[i].min_area()
+                      : modules[i].shapes().front().area();
   }
-
   std::vector<std::size_t> order(modules.size());
   std::iota(order.begin(), order.end(), 0);
-  if (options.order == GreedyOrder::kDecreasingArea) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return candidates[a].min_area > candidates[b].min_area;
-    });
-  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return min_area[a] > min_area[b];
+  });
 
-  BitMatrix occupied(region.height(), region.width());
+  // Defrag stays off, so each place() is one admission query. kCommCost
+  // degrades to first fit while no placed net partner pins the module.
+  OnlineOptions online;
+  online.use_alternatives = options.use_alternatives;
+  if (options.nets != nullptr && options.comm_weight > 0) {
+    online.policy = AnchorPolicy::kCommCost;
+    online.nets = options.nets;
+    online.comm_weight = options.comm_weight;
+  }
+  OnlinePlacer placer(region, online);
+
   placer::PlacementSolution solution;
   solution.feasible = true;
   solution.placements.assign(modules.size(), placer::ModulePlacement{});
-
-  const bool comm_on = options.nets != nullptr && options.comm_weight > 0 &&
-                       !options.nets->empty();
-  std::vector<comm::NamedPin> pins;  // modules placed so far
-
-  const auto commit = [&](std::size_t i, const geost::Placement& p,
-                          const geost::ShapeFootprint& shape) {
-    occupied.or_shifted(shape.mask(), p.y, p.x);
-    solution.placements[i] =
-        placer::ModulePlacement{static_cast<int>(i), p.shape, p.x, p.y};
-    solution.extent =
-        std::max(solution.extent, p.x + shape.bounding_box().width);
-    if (comm_on) {
-      pins.push_back(comm::NamedPin{
-          modules[i].name(), comm::center2(shape.bounding_box(), p.x, p.y)});
-    }
-  };
-
-  for (std::size_t i : order) {
-    const Candidate& c = candidates[i];
-    comm::PinContext ctx;
-    if (comm_on)
-      ctx = comm::PinContext::build(*options.nets, modules[i].name(), pins);
-    bool placed = false;
-    if (ctx.empty()) {
-      // Area-only first fit (also the comm path when no already-placed net
-      // partner pins the module anywhere).
-      for (const geost::Placement& p : c.table) {
-        const geost::ShapeFootprint& shape =
-            c.shapes[static_cast<std::size_t>(p.shape)];
-        if (occupied.intersects_shifted(shape.mask(), p.y, p.x)) continue;
-        commit(i, p, shape);
-        placed = true;
-        break;
-      }
-    } else {
-      // Minimal communication cost against the placed-so-far pins; the
-      // table is sorted by the first-fit key, so keeping the earliest entry
-      // of minimal cost realizes the pinned (cost, x+w, x, y, shape) order.
-      const geost::Placement* best = nullptr;
-      const geost::ShapeFootprint* best_shape = nullptr;
-      long best_cost = 0;
-      for (const geost::Placement& p : c.table) {
-        const geost::ShapeFootprint& shape =
-            c.shapes[static_cast<std::size_t>(p.shape)];
-        const long cost =
-            ctx.cost2(comm::center2(shape.bounding_box(), p.x, p.y));
-        if (best != nullptr && cost >= best_cost) continue;
-        if (occupied.intersects_shifted(shape.mask(), p.y, p.x)) continue;
-        best = &p;
-        best_shape = &shape;
-        best_cost = cost;
-      }
-      if (best != nullptr) {
-        commit(i, *best, *best_shape);
-        placed = true;
-      }
-    }
-    if (!placed) {
+  for (const std::size_t i : order) {
+    const auto placed = placer.place(static_cast<int>(i), modules[i]);
+    if (!placed.has_value()) {
       solution.feasible = false;
       break;
     }
+    solution.placements[i] = *placed;
+    const int width = modules[i]
+                          .shapes()[static_cast<std::size_t>(placed->shape)]
+                          .bounding_box()
+                          .width;
+    solution.extent = std::max(solution.extent, placed->x + width);
   }
 
   if (solution.feasible) outcome.solution = std::move(solution);

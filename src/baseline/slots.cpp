@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "geost/object.hpp"
+#include "placer/model_builder.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rr::baseline {
@@ -31,42 +31,35 @@ placer::PlacementOutcome place_slots(const fpga::PartialRegion& region,
   int last_slot_used = -1;
 
   for (const std::size_t i : order) {
-    const model::Module& module = modules[i];
-    std::vector<geost::ShapeFootprint> shapes;
-    if (options.use_alternatives) shapes = module.shapes();
-    else shapes.push_back(module.shapes().front());
+    const placer::ModuleTables tables = placer::prepare_module_tables(
+        region, modules[i], options.use_alternatives);
+    const std::vector<geost::ShapeFootprint>& shapes = *tables.shapes;
 
     bool placed = false;
     for (int slot = 0; slot < slot_count && !placed; ++slot) {
       for (std::size_t s = 0; s < shapes.size() && !placed; ++s) {
-        const geost::ShapeFootprint& shape = shapes[s];
         const int slots_needed =
-            (shape.bounding_box().width + options.slot_width - 1) /
+            (shapes[s].bounding_box().width + options.slot_width - 1) /
             options.slot_width;
         if (slot + slots_needed > slot_count) continue;
         bool free_run = true;
         for (int k = 0; k < slots_needed; ++k)
           free_run = free_run && !slot_used[static_cast<std::size_t>(slot + k)];
         if (!free_run) continue;
-        // Resource-compatible anchor at the slot's left edge, any row.
+        // Valid anchor at the slot's left edge, any row: the table is sorted
+        // by (x + w, x, y, shape), so one shape's first entry at x is its
+        // lowest valid row there.
         const int x = slot * options.slot_width;
-        int anchor_y = -1;
-        for (int y = 0;
-             y + shape.bounding_box().height <= region.height() && anchor_y < 0;
-             ++y) {
-          bool ok = true;
-          for (std::size_t g = 0; g < shape.typed().size() && ok; ++g) {
-            ok = region.masks()[static_cast<std::size_t>(
-                                    shape.typed()[g].resource)]
-                     .covers_shifted(shape.typed_masks()[g], y, x);
-          }
-          if (ok) anchor_y = y;
-        }
-        if (anchor_y < 0) continue;
+        const auto anchor = std::find_if(
+            tables.table.begin(), tables.table.end(),
+            [&](const geost::Placement& p) {
+              return p.shape == static_cast<int>(s) && p.x == x;
+            });
+        if (anchor == tables.table.end()) continue;
         for (int k = 0; k < slots_needed; ++k)
           slot_used[static_cast<std::size_t>(slot + k)] = true;
         solution.placements[i] = placer::ModulePlacement{
-            static_cast<int>(i), static_cast<int>(s), x, anchor_y};
+            static_cast<int>(i), static_cast<int>(s), x, anchor->y};
         last_slot_used = std::max(last_slot_used, slot + slots_needed - 1);
         placed = true;
       }

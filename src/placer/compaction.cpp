@@ -29,14 +29,7 @@ CompactionResult compact(const fpga::PartialRegion& region,
   std::vector<int> incumbent(modules.size(), -1);
   for (const ModulePlacement& p : solution.placements) {
     const std::size_t i = static_cast<std::size_t>(p.module);
-    const auto& table = tables[i].table;
-    for (std::size_t v = 0; v < table.size(); ++v) {
-      if (table[v].shape == p.shape && table[v].x == p.x &&
-          table[v].y == p.y) {
-        incumbent[i] = static_cast<int>(v);
-        break;
-      }
-    }
+    incumbent[i] = find_placement(tables[i], p.shape, p.x, p.y);
     RR_REQUIRE(incumbent[i] >= 0,
                "placement of module " +
                    modules[i].name() +

@@ -126,4 +126,9 @@ using TablesHandle = std::shared_ptr<const std::vector<ModuleTables>>;
                                           std::span<const int> values,
                                           const comm::BoundNets& nets);
 
+/// Index of the entry (shape, x, y) in `tables.table`, or -1 when the table
+/// has no such entry (defined in table_lookup.cpp).
+[[nodiscard]] int find_placement(const ModuleTables& tables, int shape, int x,
+                                 int y);
+
 }  // namespace rr::placer

@@ -122,14 +122,9 @@ PhaseOutcome ReconfigurationManager::place_phase(
         frozen.begin(), frozen.end(),
         [&](const PlacedModule& p) { return p.module == id; });
     if (prev == frozen.end()) continue;
-    for (std::size_t v = 0; v < tables[i].table.size(); ++v) {
-      const geost::Placement& p = tables[i].table[v];
-      if (p.shape == prev->shape && p.x == prev->x && p.y == prev->y) {
-        frozen_mask[i] = true;
-        frozen_value[i] = static_cast<int>(v);
-        break;
-      }
-    }
+    frozen_value[i] =
+        placer::find_placement(tables[i], prev->shape, prev->x, prev->y);
+    frozen_mask[i] = frozen_value[i] >= 0;
   }
 
   placer::BuildOptions build_options;

@@ -1,11 +1,13 @@
-// Baseline placers: greedy bottom-left and simulated annealing.
+// Baseline placers: greedy bottom-left, 1-D slots and simulated annealing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "baseline/annealing.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/slots.hpp"
+#include "comm/net.hpp"
 #include "fpga/builders.hpp"
 #include "model/generator.hpp"
 #include "placer/metrics.hpp"
@@ -35,6 +37,52 @@ std::vector<Module> random_workload(int count, std::uint64_t seed) {
   params.bram_blocks_max = 0;
   params.max_height = 6;
   return ModuleGenerator(params, seed).generate_many(count);
+}
+
+/// Irregular CLB/BRAM fabric, 12 rows, BRAM every `bram_period`-th column
+/// whose last column of each period is BRAM.
+std::shared_ptr<fpga::PartialRegion> irregular_region(int width,
+                                                      std::uint64_t seed,
+                                                      int bram_period = 8) {
+  fpga::IrregularSpec spec;
+  spec.base.bram_period = bram_period;
+  spec.base.bram_offset = bram_period - 1;
+  spec.base.dsp_period = 0;
+  spec.base.edge_io = false;
+  auto fabric = std::make_shared<const fpga::Fabric>(
+      fpga::make_irregular(width, 12, spec, seed));
+  return std::make_shared<fpga::PartialRegion>(fabric);
+}
+
+/// Modules with up to `bram_blocks` memory blocks and four layouts each,
+/// narrower than the BRAM column period.
+std::vector<Module> mixed_workload(int count, std::uint64_t seed,
+                                   int bram_blocks = 2) {
+  model::GeneratorParams params;
+  params.clb_min = 6;
+  params.clb_max = 30;
+  params.bram_blocks_max = bram_blocks;
+  params.max_height = 8;
+  params.max_width = 7;
+  return ModuleGenerator(params, seed).generate_many(count);
+}
+
+/// A net between each pair of consecutive modules, plus one from the first
+/// module to a terminal at the origin, all of weight `weight`.
+comm::NetList chain_nets(std::span<const Module> modules, long weight) {
+  comm::NetList nets;
+  for (std::size_t i = 0; i + 1 < modules.size(); ++i) {
+    comm::Net net;
+    net.weight = weight;
+    net.modules = {modules[i].name(), modules[i + 1].name()};
+    nets.nets.push_back(std::move(net));
+  }
+  comm::Net io;
+  io.weight = weight;
+  io.modules = {modules.front().name()};
+  io.terminals.push_back(Point{0, 0});
+  nets.nets.push_back(std::move(io));
+  return nets;
 }
 
 TEST(Greedy, ProducesValidPlacement) {
@@ -67,20 +115,15 @@ TEST(Greedy, InfeasibleWhenModuleCannotFit) {
   EXPECT_FALSE(outcome.solution.feasible);
 }
 
-TEST(Greedy, InputOrderDiffersFromDecreasing) {
-  // A small module first can block the bottom-left corner for a large one.
+TEST(Greedy, PlacesLargestModuleFirst) {
+  // Listed after a small module, the large one still takes the bottom-left
+  // corner: decreasing-area order places it first.
   const auto region = homogeneous_region(8, 3);
   const std::vector<Module> modules{rect_module("small", 1, 1),
                                     rect_module("large", 3, 3)};
-  GreedyOptions input_order;
-  input_order.order = GreedyOrder::kInputOrder;
-  const auto by_input = place_greedy(*region, modules, input_order);
   const auto by_area = place_greedy(*region, modules);
-  ASSERT_TRUE(by_input.solution.feasible);
   ASSERT_TRUE(by_area.solution.feasible);
-  // Decreasing-area order puts the large module at x=0.
   EXPECT_EQ(by_area.solution.placements[1].x, 0);
-  EXPECT_GE(by_input.solution.extent, by_area.solution.extent);
 }
 
 TEST(Greedy, WithoutAlternativesUsesBaseShapeOnly) {
@@ -97,6 +140,22 @@ TEST(Greedy, WithoutAlternativesUsesBaseShapeOnly) {
   without.use_alternatives = false;
   const auto b = place_greedy(*region, modules, without);
   EXPECT_FALSE(b.solution.feasible);  // 1x4 cannot fit height 2
+}
+
+TEST(Greedy, PositiveCommWeightMovesModules) {
+  // Chain nets at a positive weight pull modules toward their placed net
+  // partners and the terminal at the origin, away from plain first fit.
+  const auto region = irregular_region(48, 2);
+  const auto modules = mixed_workload(12, 2);
+  const auto area_only = place_greedy(*region, modules);
+  GreedyOptions options;
+  options.nets = std::make_shared<const comm::NetList>(chain_nets(modules, 4));
+  options.comm_weight = 1;
+  const auto with_comm = place_greedy(*region, modules, options);
+  ASSERT_TRUE(area_only.solution.feasible);
+  ASSERT_TRUE(with_comm.solution.feasible);
+  EXPECT_NE(with_comm.solution.placements, area_only.solution.placements);
+  EXPECT_TRUE(placer::validate(*region, modules, with_comm.solution).ok());
 }
 
 TEST(Greedy, NeverBeatsCpPlacer) {
@@ -204,14 +263,28 @@ TEST(Annealing, AtLeastAsGoodAsItsGreedySeed) {
   EXPECT_LE(annealed.solution.extent, greedy.solution.extent);
 }
 
+TEST(Annealing, PositiveCommWeightMovesModules) {
+  const auto region = irregular_region(40, 2);
+  const auto modules = mixed_workload(8, 2);
+  const comm::NetList nets = chain_nets(modules, 4);
+  AnnealingOptions options;
+  options.time_limit_seconds = 60.0;  // the walk ends at the floor
+  options.seed = 5;
+  const auto area_only = place_annealing(*region, modules, options);
+  options.nets = &nets;
+  options.comm_weight = 1;
+  const auto with_comm = place_annealing(*region, modules, options);
+  ASSERT_TRUE(area_only.solution.feasible);
+  ASSERT_TRUE(with_comm.solution.feasible);
+  EXPECT_NE(with_comm.solution.placements, area_only.solution.placements);
+  EXPECT_TRUE(placer::validate(*region, modules, with_comm.solution).ok());
+}
+
 TEST(Annealing, DeterministicPerSeed) {
   const auto region = homogeneous_region(16, 6);
   const auto modules = random_workload(5, 21);
   AnnealingOptions options;
   options.time_limit_seconds = 0.0;  // unlimited; cooling terminates
-  options.initial_temperature = 2.0;
-  options.cooling = 0.8;
-  options.moves_per_round_per_module = 10;
   options.seed = 33;
   const auto a = place_annealing(*region, modules, options);
   const auto b = place_annealing(*region, modules, options);
@@ -224,6 +297,140 @@ TEST(Annealing, DeterministicPerSeed) {
       EXPECT_EQ(a.solution.placements[i].shape, b.solution.placements[i].shape);
     }
   }
+}
+
+// --- Decision digests --------------------------------------------------------
+// Fixed-seed sweeps hash every outcome of the three offline baselines
+// (feasibility, extent, each module's shape and anchor) on irregular
+// heterogeneous regions, so a rewrite of their internals must reproduce
+// them exactly. Re-recording: a change that means to alter decisions copies
+// the `new digest: 0x...` value from the failure message into the constant
+// and says why.
+
+class Digest {
+ public:
+  void add(std::int64_t value) {
+    auto bits = static_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= bits & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+      bits >>= 8;
+    }
+  }
+  void add(const placer::PlacementOutcome& outcome) {
+    add(outcome.solution.feasible ? 1 : 0);
+    add(outcome.solution.extent);
+    add(static_cast<std::int64_t>(outcome.solution.placements.size()));
+    for (const placer::ModulePlacement& p : outcome.solution.placements) {
+      add(p.module);
+      add(p.shape);
+      add(p.x);
+      add(p.y);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+void expect_digest(const Digest& digest, std::uint64_t expected) {
+  EXPECT_EQ(digest.value(), expected)
+      << "new digest: 0x" << std::hex << digest.value();
+}
+
+TEST(BaselineDigest, Greedy) {
+  Digest digest;
+  int feasible = 0;
+  int calls = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (const int count : {6, 12, 24}) {
+      const auto region = irregular_region(count * 4, seed);
+      const auto modules = mixed_workload(count, seed);
+      const auto nets =
+          std::make_shared<const comm::NetList>(chain_nets(modules, 4));
+      for (const bool alternatives : {true, false}) {
+        for (const bool comm_on : {false, true}) {
+          GreedyOptions options;
+          options.use_alternatives = alternatives;
+          if (comm_on) {
+            options.nets = nets;
+            options.comm_weight = 1;
+          }
+          const auto outcome = place_greedy(*region, modules, options);
+          digest.add(outcome);
+          ++calls;
+          if (!outcome.solution.feasible) continue;
+          ++feasible;
+          EXPECT_TRUE(placer::validate(*region, modules, outcome.solution).ok());
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible, calls / 2);
+  expect_digest(digest, 0x31a62d2707316844ULL);
+}
+
+TEST(BaselineDigest, Slots) {
+  Digest digest;
+  int feasible = 0;
+  int calls = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (const int slot_width : {6, 12, 16}) {
+      // Two slot widths per module, so even a module wider than one slot
+      // finds a free run, and BRAM columns at the slot period, so a slot's
+      // left edge sees the same columns throughout. Every third seed draws
+      // memory blocks, which must then line up with those columns.
+      const int count = 6;
+      const auto region =
+          irregular_region(count * 2 * slot_width, seed, slot_width);
+      const auto modules = mixed_workload(count, seed, seed % 3 == 0 ? 1 : 0);
+      for (const bool alternatives : {true, false}) {
+        SlotOptions options;
+        options.slot_width = slot_width;
+        options.use_alternatives = alternatives;
+        const auto outcome = place_slots(*region, modules, options);
+        digest.add(outcome);
+        ++calls;
+        if (!outcome.solution.feasible) continue;
+        ++feasible;
+        EXPECT_TRUE(placer::validate(*region, modules, outcome.solution).ok());
+      }
+    }
+  }
+  EXPECT_GT(feasible, calls / 2);
+  expect_digest(digest, 0x6f5a34c52346c1eeULL);
+}
+
+TEST(BaselineDigest, Annealing) {
+  // Every walk ends at the temperature floor, far inside the wall-clock
+  // budget, so the outcome depends on the seed alone.
+  Digest digest;
+  int feasible = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto region = irregular_region(40, seed);
+    const auto modules = mixed_workload(8, seed);
+    const comm::NetList nets = chain_nets(modules, 4);
+    for (const bool alternatives : {true, false}) {
+      for (const bool comm_on : {false, true}) {
+        AnnealingOptions options;
+        options.use_alternatives = alternatives;
+        options.time_limit_seconds = 60.0;
+        options.seed = seed;
+        if (comm_on) {
+          options.nets = &nets;
+          options.comm_weight = 1;
+        }
+        const auto outcome = place_annealing(*region, modules, options);
+        digest.add(outcome);
+        if (!outcome.solution.feasible) continue;
+        ++feasible;
+        EXPECT_TRUE(placer::validate(*region, modules, outcome.solution).ok());
+      }
+    }
+  }
+  EXPECT_GT(feasible, 12);
+  expect_digest(digest, 0xf15584c00bcde539ULL);
 }
 
 }  // namespace

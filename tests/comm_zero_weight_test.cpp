@@ -124,13 +124,13 @@ TEST(ZeroWeightOracle, GreedyPlacementsAreBitIdentical) {
 
   const auto area_only = baseline::place_greedy(region, pool);
   baseline::GreedyOptions zero_weight;
-  zero_weight.nets = &weighted;
+  zero_weight.nets = std::make_shared<const comm::NetList>(weighted);
   zero_weight.comm_weight = 0;
   expect_same_solution(area_only,
                        baseline::place_greedy(region, pool, zero_weight),
                        "greedy comm_weight 0");
   baseline::GreedyOptions zero_nets;
-  zero_nets.nets = &weightless;
+  zero_nets.nets = std::make_shared<const comm::NetList>(weightless);
   zero_nets.comm_weight = 5;
   expect_same_solution(area_only,
                        baseline::place_greedy(region, pool, zero_nets),

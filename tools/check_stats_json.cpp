@@ -25,9 +25,20 @@ void require(bool ok, const std::string& what) {
   if (!ok) throw rr::InvalidInput(what);
 }
 
-void check_number(const Value& doc, const char* key) {
+/// `path` names the object `doc` within the document ("online.defrag."),
+/// so the message locates a nested key.
+void check_number(const Value& doc, const char* key,
+                  const std::string& path = "") {
   require(doc.contains(key) && doc.at(key).is_number(),
-          std::string("missing numeric key \"") + key + "\"");
+          "missing numeric key \"" + path + key + "\"");
+}
+
+/// `doc.at(key)` as an object named `path + key`.
+const Value& check_object(const Value& doc, const char* key,
+                          const std::string& path = "") {
+  require(doc.contains(key) && doc.at(key).is_object(),
+          "missing object key \"" + path + key + "\"");
+  return doc.at(key);
 }
 
 void check_search(const Value& search) {
@@ -86,6 +97,25 @@ void check_stats_v1(const Value& doc) {
     for (const char* key : {"tiles_cleared", "tiles_written",
                             "modules_loaded"})
       check_number(cost, key);
+  }
+  // The online section is optional (rrplace_cli online only), but when
+  // present it must carry the trace-replay contract, defrag telemetry and
+  // relocation cost included.
+  if (doc.contains("online")) {
+    const Value& online = check_object(doc, "online");
+    for (const char* key :
+         {"places", "removes", "accepted", "rejected", "acceptance_ratio",
+          "final_live", "final_occupancy"})
+      check_number(online, key, "online.");
+    const Value& defrag = check_object(online, "defrag", "online.");
+    for (const char* key :
+         {"attempts", "successes", "exact_successes", "greedy_successes",
+          "relocated_modules", "relocated_tiles", "deadline_expiries",
+          "rejects", "retry_skips", "budget_skips"})
+      check_number(defrag, key, "online.defrag.");
+    const Value& relocation = check_object(online, "relocation", "online.");
+    for (const char* key : {"tiles_cleared", "tiles_written", "modules_moved"})
+      check_number(relocation, key, "online.relocation.");
   }
   // The comm section is optional (rrplace_cli --nets only), but when
   // present it must carry the communication-model contract.
