@@ -3,7 +3,6 @@
 // propagation and a full small placement solve.
 #include <benchmark/benchmark.h>
 
-#include "reference/table.hpp"
 #include "rrplace.hpp"
 #include "util/rng.hpp"
 
@@ -54,48 +53,6 @@ void BM_DomainKeepMasked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_DomainKeepMasked)->Arg(256)->Arg(4096)->Arg(65536);
-
-/// One re-propagation of a positive table constraint (tests/reference)
-/// after removing a value from the middle variable. range(1) selects the
-/// engine: 0 = scanning oracle, 1 = compact-table.
-void BM_TablePropagation(benchmark::State& state) {
-  const int tuples_n = static_cast<int>(state.range(0));
-  const bool compact = state.range(1) != 0;
-  constexpr int kArity = 3;
-  constexpr int kDomainSize = 64;
-  Rng rng(11);
-  std::vector<std::vector<int>> tuples;
-  for (int t = 0; t < tuples_n; ++t) {
-    std::vector<int> tuple(kArity);
-    for (int i = 0; i < kArity; ++i)
-      tuple[i] = rng.uniform_int(0, kDomainSize - 1);
-    tuples.push_back(std::move(tuple));
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    cp::Space space;
-    std::vector<cp::VarId> vars;
-    for (int i = 0; i < kArity; ++i)
-      vars.push_back(space.new_var(0, kDomainSize - 1));
-    reference::post_table(space, vars, tuples,
-                          compact ? reference::TableEngine::kCompact
-                                  : reference::TableEngine::kScanning);
-    space.propagate();
-    space.push();
-    space.remove(vars[1], kDomainSize / 2);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(space.propagate());
-    state.PauseTiming();
-    space.pop();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * tuples_n);
-}
-BENCHMARK(BM_TablePropagation)
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({4096, 0})
-    ->Args({4096, 1});
 
 /// One re-propagation of an element constraint after a B&B-style cut on
 /// the result variable. range(1): 0 = scanning engine (post_element's

@@ -4,9 +4,9 @@
 // never runs propagation itself; call Space::propagate() (the search engine
 // does this at every node, including the root).
 //
-// One engine per constraint: these are exactly the propagators the placer
-// models post. Differential oracles (and the positive table constraint,
-// which no model posts) live in tests/reference/.
+// One engine per constraint. The placer models post rel, linear, min/max
+// and element; only the tests post post_rel_const.
+// Differential oracles live in tests/reference/.
 #pragma once
 
 #include <span>
@@ -56,16 +56,5 @@ namespace detail {
 int post_scanning_element(Space& space, std::span<const int> table,
                           VarId index, VarId result);
 }  // namespace detail
-
-/// All variables take pairwise distinct values (forward-checking strength).
-void post_all_different(Space& space, std::span<const VarId> vars);
-
-/// |{i : vars[i] == value}| `op` n, for op in {kEq, kLeq, kGeq}.
-void post_count(Space& space, std::span<const VarId> vars, int value,
-                RelOp op, int n);
-
-/// Reification: b <-> (x `op` c), where b is a 0/1 variable.
-/// b is clipped into [0, 1] at post time.
-void post_rel_reified(Space& space, VarId x, RelOp op, int c, VarId b);
 
 }  // namespace rr::cp

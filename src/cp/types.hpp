@@ -43,11 +43,12 @@ enum class PropKind : int {
   kLinear,       // linear sums
   kElement,      // result == table[index]
   kMinMax,       // z == min/max(xs)
-  kDistinct,     // all-different
-  kCount,        // occurrence counting
-  kReified,      // b <-> (x op c)
-  kTable,        // positive table / GAC (tests/reference; no model posts
-                 // one, but stats and perfbench report every kind)
+  // No propagator fills the next four kinds: they stay, always zero,
+  // because the stats JSON and perfbench's traced schema report every kind.
+  kDistinct,
+  kCount,
+  kReified,
+  kTable,
   kGeost,        // geost-style non-overlap over resource-typed boxes
   kOther,        // anything user-defined that doesn't declare a kind
 };

@@ -1,9 +1,9 @@
-// Steady-state allocation tests for the compact-table propagators and the
+// Steady-state allocation tests for the compact element propagator and the
 // geost non-overlap kernel.
 //
-// The compact engines size every scratch buffer at post time (support
-// masks, dirty sets, keep/remove word buffers) and the reversible sparse
-// bitsets reuse their trail capacity across push/pop cycles; the geost
+// The compact element engine sizes every scratch buffer at post time
+// (support masks, dirty sets, keep/remove word buffers) and its reversible
+// sparse bitset reuses its trail capacity across push/pop cycles; the geost
 // kernel rebuilds compulsory parts in storage kept across runs. So a
 // propagation run that finds nothing new to prune must not touch the heap
 // at all. These tests count global operator new calls around propagate()
@@ -26,7 +26,6 @@
 #include "cp/space.hpp"
 #include "geost/nonoverlap.hpp"
 #include "geost/object.hpp"
-#include "reference/table.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -82,39 +81,6 @@ TEST(SteadyStateAllocations, CompactElementPropagationIsAllocationFree) {
     if (cycle >= kWarmup) {
       EXPECT_EQ(delta_run, 0u) << "cycle=" << cycle;
       EXPECT_EQ(rerun, 0u) << "cycle=" << cycle;
-    }
-    space.pop();
-  }
-}
-
-// Positive table over tuples (a, b, (a+b) % 64): removing one value of b
-// leaves 63 supports for every value of a and c, so propagation after the
-// delta is again a no-op check — and must stay off the heap.
-TEST(SteadyStateAllocations, CompactTablePropagationIsAllocationFree) {
-  Space space;
-  constexpr int kDomainSize = 64;
-  std::vector<VarId> vars;
-  for (int i = 0; i < 3; ++i) vars.push_back(space.new_var(0, kDomainSize - 1));
-  std::vector<std::vector<int>> tuples;
-  for (int a = 0; a < kDomainSize; ++a)
-    for (int b = 0; b < kDomainSize; ++b)
-      tuples.push_back({a, b, (a + b) % kDomainSize});
-  reference::post_table(space, vars, std::move(tuples),
-                        reference::TableEngine::kCompact);
-  ASSERT_TRUE(space.propagate());
-  for (const VarId v : vars) ASSERT_EQ(space.dom(v).size(), kDomainSize);
-
-  constexpr int kWarmup = 5;
-  constexpr int kMeasured = 20;
-  for (int cycle = 0; cycle < kWarmup + kMeasured; ++cycle) {
-    space.push();
-    ASSERT_NE(space.remove(vars[1], 1 + cycle % (kDomainSize - 2)),
-              ModEvent::kFail);
-    const std::uint64_t before = allocations();
-    ASSERT_TRUE(space.propagate());
-    const std::uint64_t delta_run = allocations() - before;
-    if (cycle >= kWarmup) {
-      EXPECT_EQ(delta_run, 0u) << "cycle=" << cycle;
     }
     space.pop();
   }

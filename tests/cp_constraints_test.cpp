@@ -202,72 +202,5 @@ TEST(ElementConstraint, DomainConsistentBothWays) {
   EXPECT_EQ(s.value(result), 9);
 }
 
-TEST(AllDifferent, MatchesBruteForce) {
-  Space s;
-  const VarId a = s.new_var(0, 2);
-  const VarId b = s.new_var(0, 2);
-  const VarId c = s.new_var(0, 2);
-  post_all_different(s, std::vector<VarId>{a, b, c});
-  const auto expected = brute_force(
-      {{0, 2}, {0, 2}, {0, 2}}, [](const Assignment& v) {
-        return v[0] != v[1] && v[1] != v[2] && v[0] != v[2];
-      });
-  EXPECT_EQ(solve_all(s, {a, b, c}), expected);
-  EXPECT_EQ(expected.size(), 6u);  // 3!
-}
-
-TEST(AllDifferent, ForwardChecking) {
-  Space s;
-  const VarId a = s.new_var(0, 2);
-  const VarId b = s.new_var(0, 2);
-  post_all_different(s, std::vector<VarId>{a, b});
-  s.assign(a, 1);
-  ASSERT_TRUE(s.propagate());
-  EXPECT_EQ(s.dom(b).values(), (std::vector<int>{0, 2}));
-}
-
-class CountOpTest : public ::testing::TestWithParam<RelOp> {};
-
-TEST_P(CountOpTest, MatchesBruteForce) {
-  const RelOp op = GetParam();
-  Space s;
-  std::vector<VarId> vars;
-  for (int i = 0; i < 4; ++i) vars.push_back(s.new_var(0, 2));
-  post_count(s, vars, /*value=*/1, op, /*n=*/2);
-  const auto expected = brute_force(
-      {{0, 2}, {0, 2}, {0, 2}, {0, 2}}, [&](const Assignment& a) {
-        const int count = static_cast<int>(
-            std::count(a.begin(), a.end(), 1));
-        switch (op) {
-          case RelOp::kEq: return count == 2;
-          case RelOp::kLeq: return count <= 2;
-          case RelOp::kGeq: return count >= 2;
-          default: return false;
-        }
-      });
-  EXPECT_EQ(solve_all(s, vars), expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(EqLeqGeq, CountOpTest,
-                         ::testing::Values(RelOp::kEq, RelOp::kLeq,
-                                           RelOp::kGeq),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case RelOp::kEq: return "Eq";
-                             case RelOp::kLeq: return "Leq";
-                             case RelOp::kGeq: return "Geq";
-                             default: return "?";
-                           }
-                         });
-
-TEST(CountConstraint, SaturationForcesAssignments) {
-  Space s;
-  std::vector<VarId> vars;
-  for (int i = 0; i < 3; ++i) vars.push_back(s.new_var(0, 1));
-  post_count(s, vars, 1, RelOp::kGeq, 3);  // all must be 1
-  ASSERT_TRUE(s.propagate());
-  for (VarId v : vars) EXPECT_EQ(s.value(v), 1);
-}
-
 }  // namespace
 }  // namespace rr::cp

@@ -17,10 +17,10 @@ using testing::solve_all;
 std::vector<VarId> queens(Space& s, int n) {
   std::vector<VarId> cols;
   for (int i = 0; i < n; ++i) cols.push_back(s.new_var(0, n - 1));
-  post_all_different(s, cols);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      // cols[i] != cols[j] +/- (j - i)
+      // cols[i] != cols[j] and cols[i] != cols[j] +/- (j - i)
+      post_rel(s, cols[i], RelOp::kNeq, cols[j]);
       post_rel(s, cols[i], RelOp::kNeq, cols[j], j - i);
       post_rel(s, cols[i], RelOp::kNeq, cols[j], i - j);
     }

@@ -1,182 +1,32 @@
-// Differential tests: the compact-table propagation engines must be
-// observationally identical to the scanning oracles they replaced.
+// Differential tests: the compact element engine must be observationally
+// identical to the scanning engine it replaced, which stays as
+// post_element's memory-guard fallback.
 //
 // Three layers of evidence, strongest last:
-//   1. fixpoint equivalence on random positive-table and element instances
-//      — after identical mutation bursts, both engines leave identical
-//      domains or both fail;
-//   2. lockstep seeded search walks over random table CSPs — identical
-//      node/fail/solution counts and identical solutions;
+//   1. fixpoint equivalence on random element instances — after identical
+//      mutation bursts, both engines leave identical domains or both fail;
+//   2. the memory-guard fallback against a brute-force support check;
 //   3. the reduced Table I model (tests/reference/reduced_model) under
 //      branch-and-bound with the element engine swapped — identical trees,
 //      extents and placements.
-// The positive table constraint itself lives in tests/reference/ (no
-// placer model posts one); the scanning element engine is post_element's
-// memory-guard fallback, which a brute-force check pins directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "cp/constraints.hpp"
-#include "cp/search.hpp"
 #include "cp/space.hpp"
 #include "fpga/builders.hpp"
 #include "model/generator.hpp"
 #include "reference/reduced_model.hpp"
-#include "reference/table.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace rr::cp {
 namespace {
 
-using reference::TableEngine;
-
-std::vector<std::vector<int>> random_tuples(Rng& rng, int arity, int count,
-                                            int domain_size) {
-  std::vector<std::vector<int>> tuples;
-  tuples.reserve(static_cast<std::size_t>(count));
-  for (int t = 0; t < count; ++t) {
-    std::vector<int> tuple(static_cast<std::size_t>(arity));
-    for (int& v : tuple) v = rng.uniform_int(0, domain_size - 1);
-    tuples.push_back(std::move(tuple));
-  }
-  return tuples;
-}
-
-void expect_identical_domains(const Space& a, const Space& b, int nvars,
-                              const std::string& context) {
-  for (int v = 0; v < nvars; ++v) {
-    ASSERT_TRUE(a.dom(VarId{v}) == b.dom(VarId{v}))
-        << context << " var=" << v << ": " << a.dom(VarId{v}).to_string()
-        << " vs " << b.dom(VarId{v}).to_string();
-  }
-}
-
-// Layer 1: identical random mutation bursts on one table constraint must
-// reach identical fixpoints (or both fail) at every step, including
-// through push/pop cycles that exercise the reversible bitset trail.
-TEST(TableDifferential, RandomMutationBurstsReachIdenticalFixpoints) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng setup(seed);
-    const int arity = setup.uniform_int(2, 4);
-    const int domain_size = setup.uniform_int(6, 40);
-    const int tuple_count = setup.uniform_int(5, 300);
-    const auto tuples = random_tuples(setup, arity, tuple_count, domain_size);
-
-    Space scan_space, compact_space;
-    std::vector<VarId> scan_vars, compact_vars;
-    for (int i = 0; i < arity; ++i) {
-      scan_vars.push_back(scan_space.new_var(0, domain_size - 1));
-      compact_vars.push_back(compact_space.new_var(0, domain_size - 1));
-    }
-    reference::post_table(scan_space, scan_vars, tuples,
-                          TableEngine::kScanning);
-    reference::post_table(compact_space, compact_vars, tuples,
-                          TableEngine::kCompact);
-    ASSERT_EQ(scan_space.propagate(), compact_space.propagate())
-        << "seed=" << seed << " initial propagation";
-    if (scan_space.failed()) continue;
-    expect_identical_domains(scan_space, compact_space, arity,
-                             "seed=" + std::to_string(seed) + " initial");
-
-    Rng walk(seed * 977);
-    int depth = 0;
-    for (int step = 0; step < 40 && !scan_space.failed(); ++step) {
-      const std::string context =
-          "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
-      if (depth > 0 && walk.uniform_int(0, 4) == 0) {
-        scan_space.pop();
-        compact_space.pop();
-        --depth;
-        expect_identical_domains(scan_space, compact_space, arity,
-                                 context + " after pop");
-        continue;
-      }
-      scan_space.push();
-      compact_space.push();
-      ++depth;
-      // A burst of 1-3 identical mutations, then propagate both.
-      const int burst = walk.uniform_int(1, 3);
-      for (int m = 0; m < burst; ++m) {
-        const int var = walk.uniform_int(0, arity - 1);
-        const Domain& dom = scan_space.dom(scan_vars[var]);
-        if (dom.assigned()) continue;
-        switch (walk.uniform_int(0, 2)) {
-          case 0: {
-            const int v = dom.nth_value(static_cast<long>(
-                walk.bounded(static_cast<std::uint64_t>(dom.size()))));
-            scan_space.remove(scan_vars[var], v);
-            compact_space.remove(compact_vars[var], v);
-            break;
-          }
-          case 1: {
-            const int v = walk.uniform_int(dom.min(), dom.max());
-            scan_space.set_max(scan_vars[var], v);
-            compact_space.set_max(compact_vars[var], v);
-            break;
-          }
-          case 2: {
-            const int v = walk.uniform_int(dom.min(), dom.max());
-            scan_space.set_min(scan_vars[var], v);
-            compact_space.set_min(compact_vars[var], v);
-            break;
-          }
-        }
-      }
-      const bool scan_ok = scan_space.propagate();
-      const bool compact_ok = compact_space.propagate();
-      ASSERT_EQ(scan_ok, compact_ok) << context;
-      if (!scan_ok) break;
-      expect_identical_domains(scan_space, compact_space, arity, context);
-    }
-  }
-}
-
-// Layer 2: full seeded search walks over chained random table CSPs. The
-// engines see thousands of push/propagate/pop transitions; any live-set
-// drift shows up as diverging node or solution counts.
-TEST(TableDifferential, LockstepSearchOverRandomTableCsps) {
-  for (std::uint64_t seed = 50; seed <= 54; ++seed) {
-    SearchStats stats[2];
-    std::vector<std::vector<int>> solutions[2];
-    for (const bool compact : {false, true}) {
-      Space space;
-      Rng rng(seed);
-      constexpr int kVars = 8;
-      constexpr int kDomainSize = 12;
-      std::vector<VarId> vars;
-      for (int i = 0; i < kVars; ++i)
-        vars.push_back(space.new_var(0, kDomainSize - 1));
-      for (int first = 0; first + 3 <= kVars; first += 2) {
-        std::vector<VarId> scope(vars.begin() + first,
-                                 vars.begin() + first + 3);
-        reference::post_table(space, scope,
-                              random_tuples(rng, 3, 120, kDomainSize),
-                              compact ? TableEngine::kCompact
-                                      : TableEngine::kScanning);
-      }
-      BasicBrancher brancher(vars, VarSelect::kFirstFail, ValSelect::kMin,
-                             seed);
-      Search::Options options;
-      options.limits.max_fails = 2000;
-      Search search(space, brancher, options);
-      while (search.next()) {
-        std::vector<int> solution;
-        for (VarId v : vars) solution.push_back(space.dom(v).value());
-        solutions[compact].push_back(std::move(solution));
-      }
-      stats[compact] = search.stats();
-    }
-    EXPECT_EQ(stats[0].nodes, stats[1].nodes) << "seed=" << seed;
-    EXPECT_EQ(stats[0].fails, stats[1].fails) << "seed=" << seed;
-    EXPECT_EQ(stats[0].solutions, stats[1].solutions) << "seed=" << seed;
-    EXPECT_EQ(solutions[0], solutions[1]) << "seed=" << seed;
-  }
-}
-
-// Element: random tables, lockstep mutation bursts on index and result.
+// Layer 1: random element tables, lockstep mutation bursts on index and
+// result.
 TEST(TableDifferential, ElementFixpointEquivalence) {
   for (std::uint64_t seed = 300; seed <= 330; ++seed) {
     Rng setup(seed);

@@ -228,14 +228,14 @@ TEST(MetricsRegistry, SnapshotJsonHasDocumentedShape) {
 
 // --- Per-propagator-kind space instrumentation ------------------------------
 
-/// x + y == 6, x != y over [0,5]^2; posts linear + distinct propagators.
+/// x + y == 6, x != y over [0,5]^2; posts linear + rel propagators.
 cp::VarId build_small_model(cp::Space& space) {
   const cp::VarId x = space.new_var(0, 5);
   const cp::VarId y = space.new_var(0, 5);
   const std::vector<cp::VarId> vars{x, y};
   const std::vector<int> coeffs{1, 1};
   cp::post_linear(space, coeffs, vars, cp::RelOp::kEq, 6);
-  cp::post_all_different(space, vars);
+  cp::post_rel(space, x, cp::RelOp::kNeq, y);
   return x;
 }
 
@@ -256,9 +256,9 @@ TEST(SpaceKindStats, CollectsPerKindCountersWhenEnabled) {
       space.stats().by_kind[static_cast<int>(cp::PropKind::kLinear)];
   EXPECT_GT(linear.runs, 0u);
   EXPECT_GT(linear.prunings, 0u);  // assigning x forces y = 5
-  const auto& distinct =
-      space.stats().by_kind[static_cast<int>(cp::PropKind::kDistinct)];
-  EXPECT_GT(distinct.runs, 0u);
+  const auto& rel =
+      space.stats().by_kind[static_cast<int>(cp::PropKind::kRel)];
+  EXPECT_GT(rel.runs, 0u);
   // Kind totals never exceed the global propagation count.
   std::uint64_t kind_runs = 0;
   for (const auto& bucket : space.stats().by_kind) kind_runs += bucket.runs;
@@ -275,7 +275,7 @@ TEST(SpaceKindStats, CountsFailures) {
   const cp::VarId x = build_small_model(space);
   ASSERT_TRUE(space.propagate());
   space.push();
-  space.assign(x, 3);  // forces y = 3, violating all-different
+  space.assign(x, 3);  // forces y = 3, violating x != y
   EXPECT_FALSE(space.propagate());
   std::uint64_t failures = 0;
   for (const auto& bucket : space.stats().by_kind)

@@ -10,7 +10,6 @@
 #include "model/generator.hpp"
 #include "placer/placer.hpp"
 #include "placer/stats_json.hpp"
-#include "reference/table.hpp"
 #include "util/metrics.hpp"
 
 namespace rr::placer {
@@ -154,26 +153,15 @@ TEST(StatsJson, DisabledMetricsStillProducesValidDocument) {
   EXPECT_GT(doc.at("space").at("propagations").as_number(), 0.0);
 }
 
-// Every engine of the table and element constraints — the reference
-// table's compact and scanning engines, post_element and its scanning
-// memory-guard fallback — must attribute its work to the same kTable /
-// kElement buckets: engine choice is never a metrics schema change.
-TEST(StatsJson, TableAndElementBucketsAttributedByBothEngines) {
+// Both engines of the element constraint — post_element and its scanning
+// memory-guard fallback — must attribute their work to the same kElement
+// bucket: engine choice is never a metrics schema change.
+TEST(StatsJson, ElementBucketAttributedByBothEngines) {
 #ifndef RRPLACE_DISABLE_METRICS
   MetricsSwitchGuard guard;
   metrics::set_enabled(true);
   for (const bool compact : {false, true}) {
     cp::Space space;
-    const cp::VarId x = space.new_var(0, 15);
-    const cp::VarId y = space.new_var(0, 15);
-    std::vector<std::vector<int>> tuples;
-    for (int a = 0; a < 16; ++a)
-      for (int b = 0; b < 16; ++b)
-        if ((a + b) % 3 == 0) tuples.push_back({a, b});
-    const std::vector<cp::VarId> scope{x, y};
-    reference::post_table(space, scope, std::move(tuples),
-                          compact ? reference::TableEngine::kCompact
-                                  : reference::TableEngine::kScanning);
     std::vector<int> table(16);
     for (int i = 0; i < 16; ++i) table[i] = (i * 7) % 11;
     const cp::VarId index = space.new_var(0, 15);
@@ -182,18 +170,14 @@ TEST(StatsJson, TableAndElementBucketsAttributedByBothEngines) {
     else cp::detail::post_scanning_element(space, table, index, result);
     ASSERT_TRUE(space.propagate());
     space.push();
-    space.remove(x, 3);
     space.set_max(result, 5);
     ASSERT_TRUE(space.propagate());
 
     const json::Value doc = space_stats_json(space.stats());
-    const json::Value& propagators = doc.at("propagators");
-    for (const char* kind : {"table", "element"}) {
-      EXPECT_GT(propagators.at(kind).at("runs").as_number(), 0.0)
-          << kind << " compact=" << compact;
-      EXPECT_GT(propagators.at(kind).at("seconds").as_number(), 0.0)
-          << kind << " compact=" << compact;
-    }
+    const json::Value& element = doc.at("propagators").at("element");
+    EXPECT_GT(element.at("runs").as_number(), 0.0) << "compact=" << compact;
+    EXPECT_GT(element.at("seconds").as_number(), 0.0)
+        << "compact=" << compact;
   }
 #endif
 }

@@ -9,6 +9,7 @@
 // Exits 0 when every file parses and carries the documented keys; prints
 // the first problem and exits 1 otherwise.
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -25,155 +26,127 @@ void require(bool ok, const std::string& what) {
   if (!ok) throw rr::InvalidInput(what);
 }
 
-/// `path` names the object `doc` within the document ("online.defrag."),
-/// so the message locates a nested key.
-void check_number(const Value& doc, const char* key,
-                  const std::string& path = "") {
-  require(doc.contains(key) && doc.at(key).is_number(),
-          "missing numeric key \"" + path + key + "\"");
-}
+/// An object of the document and its dotted name ("online.defrag."), so
+/// every message locates a missing key by its full path.
+struct Section {
+  const Value& value;
+  std::string path;
 
-/// `doc.at(key)` as an object named `path + key`.
-const Value& check_object(const Value& doc, const char* key,
-                          const std::string& path = "") {
-  require(doc.contains(key) && doc.at(key).is_object(),
-          "missing object key \"" + path + key + "\"");
-  return doc.at(key);
-}
-
-void check_search(const Value& search) {
-  for (const char* key :
-       {"nodes", "fails", "solutions", "max_depth", "restarts"})
-    check_number(search, key);
-  require(search.contains("complete") && search.at("complete").is_bool(),
-          "search.complete must be a bool");
-}
-
-void check_propagators(const Value& kinds) {
-  require(kinds.is_object(), "\"propagators\" must be an object");
-  for (int k = 0; k < rr::cp::kNumPropKinds; ++k) {
-    const char* name =
-        rr::cp::prop_kind_name(static_cast<rr::cp::PropKind>(k));
-    require(kinds.contains(name),
-            std::string("propagators missing kind \"") + name + "\"");
-    const Value& bucket = kinds.at(name);
-    for (const char* key : {"runs", "failures", "prunings", "seconds"})
-      check_number(bucket, key);
+  /// The object under `key`.
+  Section object(const std::string& key) const {
+    require(value.contains(key) && value.at(key).is_object(),
+            "missing object key \"" + path + key + "\"");
+    return {value.at(key), path + key + "."};
   }
+
+  void numbers(std::initializer_list<const char*> keys) const {
+    for (const char* key : keys)
+      require(value.contains(key) && value.at(key).is_number(),
+              "missing numeric key \"" + path + key + "\"");
+  }
+
+  void boolean(const char* key) const {
+    require(value.contains(key) && value.at(key).is_bool(),
+            "missing bool key \"" + path + key + "\"");
+  }
+
+  void string(const char* key) const {
+    require(value.contains(key) && value.at(key).is_string(),
+            "missing string key \"" + path + key + "\"");
+  }
+};
+
+Section check_metrics(const Section& doc) {
+  const Section metrics = doc.object("metrics");
+  metrics.object("counters");
+  metrics.object("timers");
+  return metrics;
 }
 
-void check_stats_v1(const Value& doc) {
-  require(doc.contains("tool") && doc.at("tool").is_string(),
-          "missing string key \"tool\"");
-  check_search(doc.at("search"));
-  const Value& space = doc.at("space");
-  check_number(space, "propagations");
-  check_number(space, "domain_changes");
-  check_propagators(doc.at("propagators"));
-  require(doc.at("incumbents").is_array(), "\"incumbents\" must be an array");
-  const Value& result = doc.at("result");
-  require(result.at("feasible").is_bool(), "result.feasible must be a bool");
-  for (const char* key : {"extent", "seconds", "utilization"})
-    check_number(result, key);
-  const Value& metrics = doc.at("metrics");
-  require(metrics.at("counters").is_object(),
-          "metrics.counters must be an object");
-  require(metrics.at("timers").is_object(),
-          "metrics.timers must be an object");
+void check_stats_v1(const Section& doc) {
+  doc.string("tool");
+  const Section search = doc.object("search");
+  search.numbers({"nodes", "fails", "solutions", "max_depth", "restarts"});
+  search.boolean("complete");
+  doc.object("space").numbers({"propagations", "domain_changes"});
+  const Section kinds = doc.object("propagators");
+  for (int k = 0; k < rr::cp::kNumPropKinds; ++k)
+    kinds.object(rr::cp::prop_kind_name(static_cast<rr::cp::PropKind>(k)))
+        .numbers({"runs", "failures", "prunings", "seconds"});
+  require(doc.value.contains("incumbents") &&
+              doc.value.at("incumbents").is_array(),
+          "missing array key \"incumbents\"");
+  const Section result = doc.object("result");
+  result.boolean("feasible");
+  result.numbers({"extent", "seconds", "utilization"});
+  check_metrics(doc);
   // The fault section is optional (rrplace_cli faults only), but
   // when present it must carry the availability-replay contract.
-  if (doc.contains("fault")) {
-    const Value& fault = doc.at("fault");
-    require(fault.is_object(), "\"fault\" must be an object");
-    for (const char* key :
-         {"events", "tiles_faulted", "modules_hit", "recovered",
-          "recovered_fraction", "inplace_swaps", "local_replaces",
-          "defrag_recoveries", "greedy_recoveries", "park_transitions",
-          "retries", "retry_recoveries", "abandoned", "deadline_expiries",
-          "relocated_modules", "relocated_tiles", "final_live",
-          "final_parked", "capacity_retained", "utilization"})
-      check_number(fault, key);
-    const Value& cost = fault.at("recovery_cost");
-    for (const char* key : {"tiles_cleared", "tiles_written",
-                            "modules_loaded"})
-      check_number(cost, key);
+  if (doc.value.contains("fault")) {
+    const Section fault = doc.object("fault");
+    fault.numbers({"events", "tiles_faulted", "modules_hit", "recovered",
+                   "recovered_fraction", "inplace_swaps", "local_replaces",
+                   "defrag_recoveries", "greedy_recoveries",
+                   "park_transitions", "retries", "retry_recoveries",
+                   "abandoned", "deadline_expiries", "relocated_modules",
+                   "relocated_tiles", "final_live", "final_parked",
+                   "capacity_retained", "utilization"});
+    fault.object("recovery_cost")
+        .numbers({"tiles_cleared", "tiles_written", "modules_loaded"});
   }
   // The online section is optional (rrplace_cli online only), but when
   // present it must carry the trace-replay contract, defrag telemetry and
   // relocation cost included.
-  if (doc.contains("online")) {
-    const Value& online = check_object(doc, "online");
-    for (const char* key :
-         {"places", "removes", "accepted", "rejected", "acceptance_ratio",
-          "final_live", "final_occupancy"})
-      check_number(online, key, "online.");
-    const Value& defrag = check_object(online, "defrag", "online.");
-    for (const char* key :
-         {"attempts", "successes", "exact_successes", "greedy_successes",
-          "relocated_modules", "relocated_tiles", "deadline_expiries",
-          "rejects", "retry_skips", "budget_skips"})
-      check_number(defrag, key, "online.defrag.");
-    const Value& relocation = check_object(online, "relocation", "online.");
-    for (const char* key : {"tiles_cleared", "tiles_written", "modules_moved"})
-      check_number(relocation, key, "online.relocation.");
+  if (doc.value.contains("online")) {
+    const Section online = doc.object("online");
+    online.numbers({"places", "removes", "accepted", "rejected",
+                    "acceptance_ratio", "final_live", "final_occupancy"});
+    online.object("defrag").numbers(
+        {"attempts", "successes", "exact_successes", "greedy_successes",
+         "relocated_modules", "relocated_tiles", "deadline_expiries",
+         "rejects", "retry_skips", "budget_skips"});
+    online.object("relocation")
+        .numbers({"tiles_cleared", "tiles_written", "modules_moved"});
   }
   // The comm section is optional (rrplace_cli --nets only), but when
   // present it must carry the communication-model contract.
-  if (doc.contains("comm")) {
-    const Value& comm = doc.at("comm");
-    require(comm.is_object(), "\"comm\" must be an object");
-    for (const char* key : {"nets", "weight", "wirelength2"})
-      check_number(comm, key);
-  }
+  if (doc.value.contains("comm"))
+    doc.object("comm").numbers({"nets", "weight", "wirelength2"});
   // The service section is optional (rrplace_cli serve/soak only), but
   // when present it must carry the multi-tenant replay contract.
-  if (doc.contains("service")) {
-    const Value& service = doc.at("service");
-    require(service.is_object(), "\"service\" must be an object");
-    for (const char* key :
-         {"requests", "placed", "rejected", "removed", "fault_events",
-          "errors", "batches", "batched_requests", "tenants", "workers",
-          "seconds", "throughput_rps"})
-      check_number(service, key);
-    const Value& cache = service.at("cache");
-    for (const char* key : {"hits", "misses", "invalidations", "evictions",
-                            "entries", "hit_rate"})
-      check_number(cache, key);
-    const Value& latency = service.at("latency");
-    for (const char* key : {"count", "mean_ms", "p50_ms", "p99_ms", "max_ms"})
-      check_number(latency, key);
+  if (doc.value.contains("service")) {
+    const Section service = doc.object("service");
+    service.numbers({"requests", "placed", "rejected", "removed",
+                     "fault_events", "errors", "batches", "batched_requests",
+                     "tenants", "workers", "seconds", "throughput_rps"});
+    service.object("cache").numbers({"hits", "misses", "invalidations",
+                                     "evictions", "entries", "hit_rate"});
+    service.object("latency")
+        .numbers({"count", "mean_ms", "p50_ms", "p99_ms", "max_ms"});
     // Submit-to-completion latency split: time inside Tenant::apply vs
     // queue wait (total = service + queue per request).
-    for (const char* section : {"latency_service", "latency_queue"}) {
-      const Value& split = service.at(section);
-      for (const char* key : {"mean_ms", "p50_ms", "p99_ms", "max_ms"})
-        check_number(split, key);
-    }
+    for (const char* split : {"latency_service", "latency_queue"})
+      service.object(split).numbers({"mean_ms", "p50_ms", "p99_ms", "max_ms"});
     // Admission/shed accounting (overload control).
-    const Value& shed = service.at("shed");
-    for (const char* key : {"submitted", "completed", "deadline", "quota",
-                            "queue", "stopped", "submit_retries", "shed_rate"})
-      check_number(shed, key);
+    service.object("shed").numbers({"submitted", "completed", "deadline",
+                                    "quota", "queue", "stopped",
+                                    "submit_retries", "shed_rate"});
   }
   // The soak section is optional (rrplace_cli soak only), but when
   // present it must carry the invariant-audit contract.
-  if (doc.contains("soak")) {
-    const Value& soak = doc.at("soak");
-    require(soak.is_object(), "\"soak\" must be an object");
-    for (const char* key :
-         {"requests", "epochs", "violations", "final_live", "lost",
-          "min_tenant_completed_fraction"})
-      check_number(soak, key);
-  }
+  if (doc.value.contains("soak"))
+    doc.object("soak").numbers({"requests", "epochs", "violations",
+                                "final_live", "lost",
+                                "min_tenant_completed_fraction"});
 }
 
 // A bench result is either a plain number or a {count,mean,min,max}
 // RunningStats summary with a numeric mean.
-void check_result_metric(const Value& results, const std::string& key) {
-  require(results.contains(key), "results missing key \"" + key + "\"");
-  const Value& v = results.at(key);
+void check_result_metric(const Section& results, const std::string& key) {
+  require(results.value.contains(key), "results missing key \"" + key + "\"");
+  const Value& v = results.value.at(key);
   if (v.is_object()) {
-    check_number(v, "mean");
+    results.object(key).numbers({"mean"});
   } else {
     require(v.is_number(),
             "results." + key + " must be a number or summary object");
@@ -183,38 +156,30 @@ void check_result_metric(const Value& results, const std::string& key) {
 // The relocation pipeline's stage metrics (runtime::LiveLayout::relocate):
 // optional — records older than them, or taken with metrics compiled out,
 // lack them — but each one present has the documented shape.
-void check_relocate_stages(const Value& metrics) {
-  const Value& timers = metrics.at("timers");
+void check_relocate_stages(const Section& metrics) {
+  const Section timers = metrics.object("timers");
   for (const char* stage : {"candidates", "tables", "build", "search"}) {
     const std::string name = std::string("layout.relocate.") + stage;
-    if (!timers.contains(name)) continue;
-    require(timers.at(name).is_object(), name + " must be a timer object");
-    for (const char* key : {"count", "seconds"})
-      check_number(timers.at(name), key);
+    if (timers.value.contains(name))
+      timers.object(name).numbers({"count", "seconds"});
   }
-  const Value& counters = metrics.at("counters");
+  const Value& counters = metrics.value.at("counters");
   for (const char* name :
        {"layout.relocate.sets_tried", "layout.relocate.sets_refuted"})
     require(!counters.contains(name) || counters.at(name).is_number(),
             std::string(name) + " must be a number");
 }
 
-void check_bench_v1(const Value& doc) {
-  require(doc.contains("bench") && doc.at("bench").is_string(),
-          "missing string key \"bench\"");
-  require(doc.at("config").is_object(), "\"config\" must be an object");
-  require(doc.at("results").is_object(), "\"results\" must be an object");
-  const Value& metrics = doc.at("metrics");
-  require(metrics.at("counters").is_object(),
-          "metrics.counters must be an object");
-  require(metrics.at("timers").is_object(),
-          "metrics.timers must be an object");
+void check_bench_v1(const Section& doc) {
+  doc.string("bench");
+  doc.object("config");
+  const Section results = doc.object("results");
+  const Section metrics = check_metrics(doc);
   // Every pin names a numeric or summary result and a direction.
-  const Value& gate = doc.at("gate");
-  check_number(gate, "max_regression_pct");
-  require(gate.at("pins").is_object(), "gate.pins must be an object");
-  for (const auto& [key, direction] : gate.at("pins").members()) {
-    check_result_metric(doc.at("results"), key);
+  const Section gate = doc.object("gate");
+  gate.numbers({"max_regression_pct"});
+  for (const auto& [key, direction] : gate.object("pins").value.members()) {
+    check_result_metric(results, key);
     const std::string dir = direction.is_string() ? direction.as_string() : "";
     require(dir == "higher" || dir == "lower",
             "gate.pins." + key + " must be \"higher\" or \"lower\"");
@@ -234,9 +199,9 @@ void check_file(const std::string& path) {
           ? doc.at("schema").as_string()
           : "";
   if (schema == "rrplace-stats-v1") {
-    check_stats_v1(doc);
+    check_stats_v1({doc, ""});
   } else if (schema == "rrplace-bench-v1") {
-    check_bench_v1(doc);
+    check_bench_v1({doc, ""});
   } else {
     throw rr::InvalidInput("unknown or missing \"schema\": \"" + schema +
                            "\"");
